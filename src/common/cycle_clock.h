@@ -4,9 +4,10 @@
 // Clock interface:
 //   * RealCycleClock   — rdtsc (x86) / cntvct (arm) wrapper, used by the real
 //                        multi-threaded service and by calibration runs.
-//   * VirtualClock     — manually advanced, used by the virtual-time benchmark
-//                        engine (src/sim/) so figure benches are deterministic
-//                        and hardware-independent (see DESIGN.md §1).
+//   * VirtualClock     — manually advanced, used by the virtual-time
+//                        execution contexts (ExecContext) so figure benches
+//                        are deterministic and hardware-independent (see
+//                        DESIGN.md §1).
 #ifndef COPIER_SRC_COMMON_CYCLE_CLOCK_H_
 #define COPIER_SRC_COMMON_CYCLE_CLOCK_H_
 

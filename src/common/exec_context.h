@@ -3,9 +3,9 @@
 // service thread).
 //
 // Every simulated operation charges cycles to the context it runs on; the
-// virtual-time benchmark engine (src/sim/) composes end-to-end latencies from
-// these charges plus cross-context waits (e.g. csync blocking until a Copier
-// thread publishes a segment). Real-thread tests may pass nullptr contexts —
+// virtual-time benches compose end-to-end latencies from these charges plus
+// cross-context waits (e.g. csync blocking until a Copier thread publishes a
+// segment). Real-thread tests may pass nullptr contexts —
 // all charging helpers tolerate that.
 #ifndef COPIER_SRC_COMMON_EXEC_CONTEXT_H_
 #define COPIER_SRC_COMMON_EXEC_CONTEXT_H_

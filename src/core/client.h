@@ -17,6 +17,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "src/common/ring_buffer.h"
@@ -157,21 +158,40 @@ class Client {
   // do (the common case — it runs after every ExecutePending pass).
   size_t pending_abort_requests = 0;
 
-  // Destinations of recently *completed* (retired) tasks, kept while any
-  // still-pending task is ordered before them: an earlier task executing
-  // late must not overwrite a newer completed write (WAW), even though the
-  // newer task is no longer in the pending list. Pruned in RetireDone.
-  // Ordered by gseq (the service-global submission sequence) so entries
-  // imported from a *foreign* client's landed writes (cross-engine dead-write
-  // suppression, DESIGN.md §10) compare correctly against local tasks; for
-  // local entries gseq order equals the old per-client `order` order.
-  struct CompletedWrite {
-    uint64_t gseq = 0;
-    uint64_t domain = 0;
-    uint64_t start = 0;
-    size_t length = 0;
-  };
-  std::deque<CompletedWrite> completed_writes;
+  // Destinations of recently *completed* tasks, kept while any still-pending
+  // task is ordered before them: an earlier task executing late must not
+  // overwrite a newer completed write (WAW), even though the newer task is no
+  // longer live. Written at each task's Done transition and by cross-engine
+  // imports of foreign landed writes (DESIGN.md §10); pruned in RetireDone.
+  LandedWriteLog completed_writes;
+
+  // --- in-order retirement frontier (DESIGN.md "Pending-range interval
+  // index") ---
+  //
+  // Handlers fire in `order`, so pending[0, fire_frontier) have all fired and
+  // pending[fire_frontier] is the oldest task whose handler has not: "does an
+  // earlier task still owe a handler?" is one comparison against it. Every
+  // task before the frontier is Done, so it is also where ExecutePending
+  // starts scanning. Maintained by the Engine (CompleteTask and DropTask
+  // advance it, RetireDone shifts it as it pops retirees off the front).
+  size_t fire_frontier = 0;
+  PendingTask* frontier() const {
+    return fire_frontier < pending.size() ? pending[fire_frontier].get() : nullptr;
+  }
+  void AdvanceFireFrontier() {
+    while (fire_frontier < pending.size() && pending[fire_frontier]->handler_fired) {
+      ++fire_frontier;
+    }
+  }
+  // Set when a task behind the frontier is dropped (its handler is skipped
+  // out of order): RetireDone then sweeps the whole list once instead of
+  // popping from the front only.
+  bool retire_out_of_order = false;
+  // gseqs of the accepted, not-yet-Done pending tasks. gseq is not monotone
+  // in `order` (libcopier stamps it at submission, unstamped tasks draw it at
+  // ingestion, and queue pairs ingest in turn), so the completed-write
+  // pruning bound is this set's minimum rather than the frontier's gseq.
+  std::multiset<uint64_t> live_gseqs;
 
   // In-flight DMA batches parked by asynchronous execution rounds (DESIGN.md
   // §9), in submission order. The completion time is captured at submission,
@@ -182,6 +202,7 @@ class Client {
   struct ParkedDma {
     Cycles completion_time = 0;
     uint64_t bytes = 0;
+    uint64_t min_order = 0;  // lowest `order` among the segments' tasks
     struct Seg {
       PendingTask* task = nullptr;
       size_t offset = 0;  // task-local first byte
@@ -190,6 +211,9 @@ class Client {
     std::vector<Seg> segs;
   };
   std::deque<ParkedDma> parked_dma;
+  // min_order of every batch in parked_dma: its minimum is the oldest task
+  // with bytes still in flight (HasEarlierParked).
+  std::multiset<uint64_t> parked_orders;
   std::atomic<uint64_t> dma_inflight_bytes{0};
 
   // Last AddressSpace::alias_cow_breaks() value folded into engine stats

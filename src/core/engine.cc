@@ -1,8 +1,6 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 #include "src/common/logging.h"
@@ -309,21 +307,14 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
     if (cross_ != nullptr) {
       cross_->RetireGlobalSeq(pending->task.gseq);
     }
+    // Never entered the pending list: there is no Done transition to record.
+    pending->done_processed = true;
     DropTask(client, *pending, valid);
     // Keep the dropped task out of the pending list entirely.
     ++stats_.tasks_ingested;
     return;
   }
 
-  if (getenv("COPIER_TRACE") != nullptr) {
-    const PendingTask& pt = *pending;
-    std::fprintf(stderr,
-                 "[accept] task=%llu order=%llu k=%d lazy=%d dst=%llx src=%llx len=%zu\n",
-                 (unsigned long long)pt.task.id, (unsigned long long)pt.order,
-                 pt.kernel_mode, pt.task.type == TaskType::kLazy,
-                 (unsigned long long)pt.task.dst.start(),
-                 (unsigned long long)pt.task.src.start(), pt.task.length);
-  }
   // Cross-engine ordering (DESIGN.md §10): give the task its place in the
   // service-global submission sequence — the submitter's stamp when present,
   // else the next sequence number at ingestion — and register shared-visible
@@ -339,6 +330,7 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   PendingTask* accepted = pending.get();
   client.pending.push_back(std::move(pending));
   client.pending_count.store(client.pending.size(), std::memory_order_release);
+  client.live_gseqs.insert(accepted->gseq);
   if (config_.enable_range_index) {
     IndexInsert(client, *accepted);
   }
@@ -977,11 +969,6 @@ Status Engine::BuildSubtasks(Client& client, PendingTask& task, size_t offset,
       st.dma_eligible = config_.use_dma && st.length >= timing_->dma_min_subtask_bytes;
       st.pages_cached = extra.pages_cached;
       st.pages_uncached = extra.pages_uncached;
-      if (getenv("COPIER_TRACE") != nullptr) {
-        std::fprintf(stderr, "[st] task=%llu off=%zu len=%zu dst=%p src=%p\n",
-                     (unsigned long long)task.task.id, st.task_offset, st.length,
-                     (void*)st.dst, (void*)st.src);
-      }
       out->push_back(st);
       piece_pos += st.length;
       dst_cursor += st.length;
@@ -1195,13 +1182,16 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
       Client::ParkedDma parked;
       parked.completion_time = b.completion;
       parked.bytes = b.bytes;
+      parked.min_order = UINT64_MAX;
       parked.segs.reserve(b.chunks.size());
       for (const RoundChunk& ch : b.chunks) {
         Subtask& st = subtasks[ch.subtask];
         const size_t task_off = st.task_offset + ch.offset;
         parked.segs.push_back({st.owner, task_off, ch.length});
+        parked.min_order = std::min(parked.min_order, st.owner->order);
         st.owner->dma_parked.emplace_back(task_off, task_off + ch.length);
       }
+      client.parked_orders.insert(parked.min_order);
       client.parked_dma.push_back(std::move(parked));
       client.dma_inflight_bytes.fetch_add(b.bytes, std::memory_order_relaxed);
     }
@@ -1313,18 +1303,17 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       const uint64_t ddomain = dp.ref.domain();
       // Bytes fully written by later tasks that already completed. Entries
       // are gseq-keyed: locally retired writes and imported foreign landed
-      // writes (cross-engine dead-write suppression) compare uniformly.
-      for (const auto& done : client.completed_writes) {
-        if (done.gseq <= task.gseq || done.domain != ddomain) {
-          continue;
-        }
-        const uint64_t ovl_start = std::max(done.start, dbase);
-        const uint64_t ovl_end = std::min(done.start + done.length, dbase + dp.length);
-        if (ovl_start >= ovl_end) {
-          continue;
-        }
-        subtract_dead(ovl_start - dbase + dp.task_offset, ovl_end - dbase + dp.task_offset);
-      }
+      // writes (cross-engine dead-write suppression) compare uniformly. The
+      // log probe walks in address order, not landing order; subtract_dead
+      // leaves the same set of live ranges whatever order its cuts arrive in.
+      client.completed_writes.ForEachLaterOverlap(
+          ddomain, dbase, dp.length, task.gseq, [&](const LandedWriteLog::Write& w) {
+            const uint64_t ovl_start = std::max(w.start, dbase);
+            const uint64_t ovl_end = std::min(w.start + w.length, dbase + dp.length);
+            subtract_dead(ovl_start - dbase + dp.task_offset,
+                          ovl_end - dbase + dp.task_offset);
+            return true;
+          });
       // Bytes a later *pending* writer has already landed (segment-granular).
       const auto suppress_from = [&](PendingTask& other) {
         // A later writer with bytes still in flight must land first: its
@@ -1397,13 +1386,6 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       }
     }
 
-    if (getenv("COPIER_TRACE") != nullptr) {
-      std::fprintf(stderr, "[exec] task=%llu order=%llu dst=%llx run=[%zu,%zu) live:",
-                   (unsigned long long)task.task.id, (unsigned long long)task.order,
-                   (unsigned long long)task.task.dst.start(), run_start, run_end);
-      for (auto [ls, le] : live) std::fprintf(stderr, " [%zu,%zu)", ls, le);
-      std::fprintf(stderr, "\n");
-    }
     size_t live_bytes = 0;
     for (auto [ls, le] : live) {
       live_bytes += le - ls;
@@ -1417,17 +1399,6 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       for (auto [xs, xe] : exec) {
         std::vector<SourcePiece> sources;
         ResolveSources(client, task, xs, xe - xs, depth, &sources);
-        if (getenv("COPIER_TRACE") != nullptr) {
-          size_t total = 0;
-          std::fprintf(stderr, "[src] task=%llu run=[%zu,%zu):",
-                       (unsigned long long)task.task.id, xs, xe);
-          for (const SourcePiece& sp : sources) {
-            std::fprintf(stderr, " {%llx,%zu%s}", (unsigned long long)sp.ref.start(), sp.length,
-                         sp.absorbed ? ",A" : "");
-            total += sp.length;
-          }
-          std::fprintf(stderr, " total=%zu\n", total);
-        }
         // Remap tier (DESIGN.md §11): a page-co-aligned interior backed
         // directly by the task's source is satisfied by CoW aliasing —
         // complete for ordering, zero bytes moved. The unaligned head and
@@ -1571,11 +1542,6 @@ bool Engine::TryRemapRange(Client& client, PendingTask& task, size_t rs, size_t 
 
 Status Engine::ExecuteTaskRange(Client& client, PendingTask& task, size_t offset, size_t length,
                                 int depth, bool must_land) {
-  if (getenv("COPIER_TRACE") != nullptr) {
-    std::fprintf(stderr, "[range] task=%llu off=%zu len=%zu depth=%d done=%d bytes=%zu\n",
-                 (unsigned long long)task.task.id, offset, length, depth, task.Done(),
-                 task.bytes_done);
-  }
   if (task.Done() || length == 0) {
     return OkStatus();
   }
@@ -1794,11 +1760,6 @@ void Engine::ApplyDeferredAborts(Client& client) {
     if (has_dependent) {
       ++remaining;
     } else {
-      if (getenv("COPIER_TRACE") != nullptr) {
-        std::fprintf(stderr, "[abort] task=%llu order=%llu dst=%llx len=%zu\n",
-                     (unsigned long long)task.task.id, (unsigned long long)task.order,
-                     (unsigned long long)task.task.dst.start(), task.task.length);
-      }
       // Bytes already on a DMA channel cannot be recalled: settle them first
       // so the abort never leaves parked references to a retiring task. If
       // the landing completes the task, the abort raced completion and lost.
@@ -1827,7 +1788,8 @@ void Engine::ApplyDeferredAborts(Client& client) {
 uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
   uint64_t served = 0;
   const Cycles now = CtxNow(ctx_);
-  size_t scan = 0;
+  // Every task before the retirement frontier is Done: start there.
+  size_t scan = client.fire_frontier;
   while (served < budget && scan < client.pending.size()) {
     // Find the first executable task (FIFO; lazy tasks wait for promotion,
     // dependency pull, abort, or their age timeout, §4.4).
@@ -1835,11 +1797,6 @@ uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
     std::vector<PendingTask*> round;
     for (; scan < client.pending.size(); ++scan) {
       PendingTask& task = *client.pending[scan];
-      if (getenv("COPIER_TRACE2") != nullptr) {
-        std::fprintf(stderr, "[scan] task=%llu done=%d bytes=%zu abreq=%d lazy=%d prom=%d\n",
-                     (unsigned long long)task.task.id, task.Done(), task.bytes_done,
-                     task.abort_requested, task.task.type == TaskType::kLazy, task.promoted);
-      }
       if (task.Done() || task.abort_requested) {
         continue;
       }
@@ -1865,17 +1822,10 @@ uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
     // SG task already fills a round).
     // Shared-visible tasks never fuse either: their cross-engine ledger probe
     // runs in the ordered per-task path (ExecuteTaskRange).
-    bool head_fusable = head->task.sg == nullptr && !head->shared_visible;
-    if (head_fusable) {
-      for (const auto& done : client.completed_writes) {
-        if (done.gseq > head->gseq && done.domain == head->task.dst.domain() &&
-            RangesOverlap(done.start, done.length, head->task.dst.start(),
-                          head->task.length)) {
-          head_fusable = false;
-          break;
-        }
-      }
-    }
+    bool head_fusable = head->task.sg == nullptr && !head->shared_visible &&
+                        !client.completed_writes.AnyLaterOverlap(
+                            head->task.dst.domain(), head->task.dst.start(),
+                            head->task.length, head->gseq);
     if (head_fusable && HasAnyConflict(client, *head)) {
       head_fusable = false;
     }
@@ -1901,19 +1851,13 @@ uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
           continue;
         }
         // Conflict with any live task (round members included — they are all
-        // live pending tasks, so one probe set covers them).
-        bool conflict = HasAnyConflict(client, cand);
-        if (!conflict) {
-          for (const auto& done : client.completed_writes) {
-            if (done.gseq > cand.gseq &&
-                done.domain == cand.task.dst.domain() &&
-                RangesOverlap(done.start, done.length, cand.task.dst.start(),
-                              cand.task.length)) {
-              conflict = true;  // a newer completed write covers part of dst
-              break;
-            }
-          }
-        }
+        // live pending tasks, so one probe set covers them), or a newer
+        // completed write covering part of dst.
+        const bool conflict =
+            HasAnyConflict(client, cand) ||
+            client.completed_writes.AnyLaterOverlap(cand.task.dst.domain(),
+                                                    cand.task.dst.start(),
+                                                    cand.task.length, cand.gseq);
         if (conflict || cand.task.type == TaskType::kLazy || cand.bytes_done != 0 ||
             !cand.dma_parked.empty() || cand.task.sg != nullptr || cand.shared_visible) {
           continue;  // stays in place; later candidates are checked against it
@@ -2104,6 +2048,7 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
     return;
   }
   task.handler_fired = true;
+  client.AdvanceFireFrontier();  // `task` was the frontier: nothing earlier is unfired
   if (!task.aborted) {
     ++stats_.tasks_completed;
   }
@@ -2140,15 +2085,8 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
 }
 
 bool Engine::HasEarlierUnfired(const Client& client, uint64_t order) const {
-  for (const auto& pending : client.pending) {
-    if (pending->order >= order) {
-      break;  // pending is ordered by ingestion order
-    }
-    if (!pending->handler_fired) {
-      return true;
-    }
-  }
-  return false;
+  const PendingTask* frontier = client.frontier();
+  return frontier != nullptr && frontier->order < order;
 }
 
 void Engine::FireDeferredSuccessors(Client& client) {
@@ -2156,18 +2094,14 @@ void Engine::FireDeferredSuccessors(Client& client) {
     return;  // the outermost completion runs one cascade for the whole chain
   }
   t_fire_cascade = true;
-  for (auto& pending : client.pending) {
-    PendingTask& task = *pending;
-    if (task.handler_fired) {
-      continue;
+  // The first unfired, incomplete task blocks everything behind it. Done
+  // includes aborted tasks — their handlers fire too.
+  for (PendingTask* task = client.frontier(); task != nullptr && task->Done();
+       task = client.frontier()) {
+    CompleteTask(client, *task);
+    if (!task->handler_fired) {
+      break;
     }
-    if (task.Done()) {  // includes aborted tasks — their handlers fire too
-      CompleteTask(client, task);
-      if (task.handler_fired) {
-        continue;
-      }
-    }
-    break;  // first unfired, incomplete task blocks everything behind it
   }
   t_fire_cascade = false;
 }
@@ -2182,7 +2116,14 @@ void Engine::DropTask(Client& client, PendingTask& task, const Status& reason) {
   ++stats_.tasks_dropped;
   task.aborted = true;
   OnTaskDone(client, task);
-  task.handler_fired = true;  // handlers do not run for faulted tasks
+  if (!task.handler_fired) {
+    task.handler_fired = true;  // handlers do not run for faulted tasks
+    if (client.frontier() == &task) {
+      client.AdvanceFireFrontier();
+    } else {
+      client.retire_out_of_order = true;  // retired behind the frontier
+    }
+  }
   if (task.progress != nullptr) {
     task.progress->MarkFailed(CtxNow(ctx_));
   }
@@ -2196,36 +2137,37 @@ void Engine::DropTask(Client& client, PendingTask& task, const Status& reason) {
 }
 
 void Engine::RetireDone(Client& client) {
-  std::erase_if(client.pending, [this, &client](const std::unique_ptr<PendingTask>& task) {
-    // A task with bytes still parked on a DMA channel must outlive the reap
-    // (the parked batch holds a pointer to it), Done or not.
-    if (!task->Done() || !task->handler_fired || !task->dma_parked.empty()) {
-      return false;
-    }
-    // Done tasks normally had their index entries dropped and their
-    // destination logged at the Done transition (OnTaskDone); this is the
-    // safety net for any path that flipped Done() without going through it.
-    OnTaskDone(client, *task);
-    return true;
-  });
+  // A task retires once it is Done and its handler has fired. One with bytes
+  // still parked on a DMA channel must outlive the reap (the parked batch
+  // holds a pointer to it).
+  const auto retire = [](const PendingTask& task) {
+    return task.Done() && task.handler_fired && task.dma_parked.empty();
+  };
+  // Handlers fire in order, so retirees normally form a prefix.
+  while (!client.pending.empty() && retire(*client.pending.front())) {
+    client.pending.pop_front();
+    --client.fire_frontier;
+  }
+  // A fired task still waiting on parked bytes at the front, or a task
+  // dropped behind the frontier, leaves retirees further back: sweep once.
+  if (client.fire_frontier != 0 || client.retire_out_of_order) {
+    std::erase_if(client.pending,
+                  [&retire](const std::unique_ptr<PendingTask>& task) { return retire(*task); });
+    client.retire_out_of_order = false;
+    client.fire_frontier = 0;
+    client.AdvanceFireFrontier();
+  }
   client.pending_count.store(client.pending.size(), std::memory_order_release);
   // Prune: a completed write only matters while an EARLIER-sequenced task
   // could still execute late.
-  uint64_t min_pending_gseq = UINT64_MAX;
-  for (const auto& task : client.pending) {
-    if (!task->Done()) {
-      min_pending_gseq = std::min(min_pending_gseq, task->gseq);
-    }
-  }
-  std::erase_if(client.completed_writes, [&](const Client::CompletedWrite& w) {
-    if (w.gseq >= min_pending_gseq && min_pending_gseq != UINT64_MAX) {
-      return false;  // a local earlier-ordered task could still execute late
-    }
+  const uint64_t min_pending_gseq =
+      client.live_gseqs.empty() ? UINT64_MAX : *client.live_gseqs.begin();
+  client.completed_writes.Prune(min_pending_gseq, [this](const LandedWriteLog::Write& w) {
     // Cross-engine retention: a write into a shared domain that landed before
     // the domain turned shared has no ledger tombstone — this log entry is
     // the only record a foreign lower-gseq prober can import (SettleForeign's
-    // owner-log scan). Keep it while such a prober may still be outstanding.
-    return cross_ == nullptr || !cross_->LandedWriteStillNeeded(w.domain, w.gseq);
+    // owner-log probe). Keep it while such a prober may still be outstanding.
+    return cross_ != nullptr && cross_->LandedWriteStillNeeded(w.domain, w.gseq);
   });
 }
 
@@ -2263,12 +2205,14 @@ void Engine::IndexErase(Client& client, PendingTask& task) {
   std::vector<RefPiece> pieces;
   CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &pieces);
   for (const RefPiece& p : pieces) {
-    client.range_index.Erase(RangeIndex::Side::kDst, p.ref.domain(), p.ref.start(), task.order);
+    client.range_index.Erase(RangeIndex::Side::kDst, p.ref.domain(), p.ref.start(), p.length,
+                             task.order);
   }
   pieces.clear();
   CollectPieces(task.task, /*dst_side=*/false, 0, task.task.length, &pieces);
   for (const RefPiece& p : pieces) {
-    client.range_index.Erase(RangeIndex::Side::kSrc, p.ref.domain(), p.ref.start(), task.order);
+    client.range_index.Erase(RangeIndex::Side::kSrc, p.ref.domain(), p.ref.start(), p.length,
+                             task.order);
   }
   task.in_range_index = false;
   stats_.index_entries = client.range_index.size();
@@ -2280,6 +2224,9 @@ void Engine::OnTaskDone(Client& client, PendingTask& task) {
   }
   task.done_processed = true;
   IndexErase(client, task);
+  const auto live = client.live_gseqs.find(task.gseq);
+  COPIER_CHECK(live != client.live_gseqs.end()) << "task " << task.task.id << " was never live";
+  client.live_gseqs.erase(live);
   // Log the write so a still-pending earlier task executing late cannot
   // overwrite it (WAW); pruned in RetireDone once no earlier task remains.
   // One log entry per contiguous destination piece.
@@ -2287,8 +2234,7 @@ void Engine::OnTaskDone(Client& client, PendingTask& task) {
     std::vector<RefPiece> pieces;
     CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &pieces);
     for (const RefPiece& p : pieces) {
-      client.completed_writes.push_back(
-          Client::CompletedWrite{task.gseq, p.ref.domain(), p.ref.start(), p.length});
+      client.completed_writes.Insert({task.gseq, p.ref.domain(), p.ref.start(), p.length});
     }
   }
   if (cross_ != nullptr && task.shared_visible) {
@@ -2416,9 +2362,11 @@ uint64_t Engine::ReapParkedDma(Client& client, Cycles now) {
     }
     client.dma_inflight_bytes.fetch_sub(batch.bytes, std::memory_order_relaxed);
   }
-  // Erase reaped entries back-to-front so earlier indices stay valid.
+  // Erase reaped entries back-to-front so earlier indices stay valid. Until
+  // here every ripe batch still counts as parked for HasEarlierParked.
   std::sort(ripe.begin(), ripe.end(), std::greater<size_t>());
   for (size_t i : ripe) {
+    client.parked_orders.erase(client.parked_orders.find(client.parked_dma[i].min_order));
     client.parked_dma.erase(client.parked_dma.begin() + static_cast<ptrdiff_t>(i));
   }
   // Handlers deferred behind the landed batches fire now, in task order —
@@ -2428,19 +2376,18 @@ uint64_t Engine::ReapParkedDma(Client& client, Cycles now) {
 }
 
 bool Engine::HasEarlierParked(const Client& client, uint64_t order) const {
-  for (const Client::ParkedDma& batch : client.parked_dma) {
-    for (const Client::ParkedDma::Seg& seg : batch.segs) {
-      if (seg.task->order < order) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return !client.parked_orders.empty() && *client.parked_orders.begin() < order;
 }
 
 void Engine::FireOrderedCompletions(Client& client, Cycles when) {
-  for (auto& pending : client.pending) {
-    PendingTask& task = *pending;
+  // Everything before the frontier has fired; if one of those tasks still
+  // has bytes in flight, everything behind it waits for that landing.
+  const PendingTask* frontier = client.frontier();
+  if (frontier == nullptr || HasEarlierParked(client, frontier->order)) {
+    return;
+  }
+  for (size_t i = client.fire_frontier; i < client.pending.size(); ++i) {
+    PendingTask& task = *client.pending[i];
     if (!task.dma_parked.empty()) {
       break;  // everything behind this task waits for its landing
     }

@@ -353,11 +353,13 @@ class Engine {
   // channel. FIFO-ordered completions (and SG segment kfuncs) defer behind
   // such a task: blocking mode retires rounds in submission order, so a later
   // task's handler must not overtake an earlier in-flight one — the socket
-  // paths reassemble byte streams in handler-delivery order.
+  // paths reassemble byte streams in handler-delivery order. O(1): reads the
+  // minimum of client.parked_orders.
   bool HasEarlierParked(const Client& client, uint64_t order) const;
   // Fires deferred handlers in task order once the tasks blocking them have
-  // landed: walks pending front-to-back, firing credited SG prefixes and
-  // completion handlers, stopping at the first task still in flight.
+  // landed: walks pending from the retirement frontier, firing credited SG
+  // prefixes and completion handlers, stopping at the first task still in
+  // flight.
   void FireOrderedCompletions(Client& client, Cycles when);
 
   void MarkProgress(Client& client, PendingTask& task, size_t offset, size_t length,
@@ -372,9 +374,12 @@ class Engine {
   // predecessor has not fired defers its handler (HasEarlierUnfired); the
   // predecessor's completion (or drop) cascades the done-but-unfired suffix
   // in task order, keeping KFUNC order independent of the engine-pool size.
+  // Both read the client's retirement frontier (client.fire_frontier).
   bool HasEarlierUnfired(const Client& client, uint64_t order) const;
   void FireDeferredSuccessors(Client& client);
   void DropTask(Client& client, PendingTask& task, const Status& reason);
+  // Pops fired tasks off the front of `pending` (sweeping the whole list only
+  // when a task retired out of order) and prunes the completed-write log.
   void RetireDone(Client& client);
 
   // Finds the latest-ordered unfinished earlier task writing the memory at
@@ -400,8 +405,9 @@ class Engine {
   // --- pending-range interval index maintenance and fused-path probes ---
   void IndexInsert(Client& client, PendingTask& task);
   void IndexErase(Client& client, PendingTask& task);
-  // Done transition: drops the task's index entries and logs its destination
-  // in client.completed_writes (non-aborted tasks), exactly once per task.
+  // Done transition: drops the task's index entries and live gseq and logs
+  // its destination in client.completed_writes (non-aborted tasks), exactly
+  // once per task. Every path that makes a task Done calls it.
   void OnTaskDone(Client& client, PendingTask& task);
   // True when any live pending task other than `self` has a data dependency
   // (RAW/WAW/WAR, either direction) with `self`'s ranges (e-piggyback gate).

@@ -51,7 +51,7 @@ RangeIndex::Node* RangeIndex::InsertNode(Node* n, Node* fresh) {
     Update(fresh);
     return fresh;
   }
-  if (KeyLess(fresh->lo, fresh->order, *n)) {
+  if (KeyLess(fresh->lo, fresh->order, fresh->hi, *n)) {
     n->left = InsertNode(n->left, fresh);
     if (n->left->priority > n->priority) {
       n = RotateRight(n);
@@ -66,11 +66,12 @@ RangeIndex::Node* RangeIndex::InsertNode(Node* n, Node* fresh) {
   return n;
 }
 
-RangeIndex::Node* RangeIndex::EraseNode(Node* n, Coord lo, uint64_t order, bool* erased) {
+RangeIndex::Node* RangeIndex::EraseNode(Node* n, Coord lo, uint64_t order, Coord hi,
+                                        bool* erased) {
   if (n == nullptr) {
     return nullptr;
   }
-  if (lo == n->lo && order == n->order) {
+  if (lo == n->lo && order == n->order && hi == n->hi) {
     *erased = true;
     if (n->left == nullptr || n->right == nullptr) {
       Node* child = n->left != nullptr ? n->left : n->right;
@@ -81,15 +82,15 @@ RangeIndex::Node* RangeIndex::EraseNode(Node* n, Coord lo, uint64_t order, bool*
     // doomed node moved to.
     if (n->left->priority > n->right->priority) {
       n = RotateRight(n);
-      n->right = EraseNode(n->right, lo, order, erased);
+      n->right = EraseNode(n->right, lo, order, hi, erased);
     } else {
       n = RotateLeft(n);
-      n->left = EraseNode(n->left, lo, order, erased);
+      n->left = EraseNode(n->left, lo, order, hi, erased);
     }
-  } else if (KeyLess(lo, order, *n)) {
-    n->left = EraseNode(n->left, lo, order, erased);
+  } else if (KeyLess(lo, order, hi, *n)) {
+    n->left = EraseNode(n->left, lo, order, hi, erased);
   } else {
-    n->right = EraseNode(n->right, lo, order, erased);
+    n->right = EraseNode(n->right, lo, order, hi, erased);
   }
   Update(n);
   return n;
@@ -112,10 +113,12 @@ void RangeIndex::Insert(Side side, uint64_t domain, uint64_t start, size_t lengt
   ++size_;
 }
 
-void RangeIndex::Erase(Side side, uint64_t domain, uint64_t start, uint64_t order) {
+void RangeIndex::Erase(Side side, uint64_t domain, uint64_t start, size_t length,
+                       uint64_t order) {
   bool erased = false;
   Node*& root = roots_[static_cast<size_t>(side)];
-  root = EraseNode(root, Pack(domain, start), order, &erased);
+  const Coord lo = Pack(domain, start);
+  root = EraseNode(root, lo, order, lo + length, &erased);
   if (erased) {
     --size_;
   }

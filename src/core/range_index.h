@@ -22,16 +22,22 @@
 //   * a task contributes one kDst and one kSrc entry per contiguous piece of
 //     each side — exactly one each for plain tasks, one per segment for the
 //     scatter-gather side of a vectored task — inserted in AcceptTask and
-//     erased at its Done transition (completion, abort, or drop), with a
-//     final safety prune in RetireDone;
-//   * keys are (domain, start, order); `order` disambiguates tasks naming
-//     identical ranges, so erase is exact and enumeration order is
-//     deterministic: ascending (address, order).
+//     erased at its Done transition (completion, abort, or drop);
+//   * keys are (domain, start, order, end); `order` disambiguates tasks
+//     naming identical ranges and `end` entries sharing a start and order, so
+//     erase is exact and enumeration order is deterministic: ascending
+//     (address, order).
+//
+// LandedWriteLog (below) reuses the same tree, keyed on the write's gseq
+// instead of a task order, for the landed-write side of dead-write
+// suppression.
 #ifndef COPIER_SRC_CORE_RANGE_INDEX_H_
 #define COPIER_SRC_CORE_RANGE_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
+#include <tuple>
 
 namespace copier::core {
 
@@ -62,9 +68,9 @@ class RangeIndex {
 
   void Insert(Side side, uint64_t domain, uint64_t start, size_t length, uint64_t order,
               PendingTask* task, size_t task_offset = 0);
-  // Erases the entry inserted under the same (side, domain, start, order);
-  // no-op when absent.
-  void Erase(Side side, uint64_t domain, uint64_t start, uint64_t order);
+  // Erases the entry inserted under the same (side, domain, start, length,
+  // order); no-op when absent.
+  void Erase(Side side, uint64_t domain, uint64_t start, size_t length, uint64_t order);
 
   // Invokes fn(Entry) for every entry on `side` overlapping
   // [start, start + length) of `domain`, in ascending (address, order) order.
@@ -107,15 +113,15 @@ class RangeIndex {
     Node* right = nullptr;
   };
 
-  static bool KeyLess(Coord lo, uint64_t order, const Node& n) {
-    return lo != n.lo ? lo < n.lo : order < n.order;
+  static bool KeyLess(Coord lo, uint64_t order, Coord hi, const Node& n) {
+    return std::tie(lo, order, hi) < std::tie(n.lo, n.order, n.hi);
   }
 
   static void Update(Node* n);
   static Node* RotateLeft(Node* n);
   static Node* RotateRight(Node* n);
   static Node* InsertNode(Node* n, Node* fresh);
-  static Node* EraseNode(Node* n, Coord lo, uint64_t order, bool* erased);
+  static Node* EraseNode(Node* n, Coord lo, uint64_t order, Coord hi, bool* erased);
   static void FreeTree(Node* n);
 
   // Interval-tree walk: prunes subtrees whose max_hi ends at or before the
@@ -152,6 +158,85 @@ class RangeIndex {
   Node* roots_[2] = {nullptr, nullptr};
   size_t size_ = 0;
   uint32_t prio_state_ = 0x9e3779b9u;  // deterministic treap rebalancing
+};
+
+// LandedWriteLog — destinations of one client's landed writes that a task
+// still executing late must not overwrite (WAW dead-write suppression, §4.1).
+//
+// Entries are gseq-stamped (the service-global submission sequence), so the
+// client's own retired writes and writes imported from foreign clients' landed
+// tasks (cross-engine suppression, DESIGN.md §10) compare uniformly. The only
+// question asked of the log is "which writes with gseq > g overlap
+// [start, start + length) of this domain?", answered from a RangeIndex keyed
+// (domain, start, gseq) in O(log n + k). A gseq-ordered set beside it holds
+// each entry once — an identical re-import is a no-op — and lets pruning visit
+// only the entries below the retirement bound.
+class LandedWriteLog {
+ public:
+  struct Write {
+    uint64_t gseq = 0;
+    uint64_t domain = 0;
+    uint64_t start = 0;
+    size_t length = 0;
+
+    bool operator<(const Write& o) const {
+      return std::tie(gseq, domain, start, length) <
+             std::tie(o.gseq, o.domain, o.start, o.length);
+    }
+  };
+
+  // Records `w` unless an identical entry is already present. Zero-length
+  // writes are ignored.
+  void Insert(const Write& w) {
+    if (w.length != 0 && writes_.insert(w).second) {
+      index_.Insert(kSide, w.domain, w.start, w.length, w.gseq, nullptr);
+    }
+  }
+
+  // Invokes fn(const Write&) for every logged write into `domain` with
+  // gseq > `after_gseq` overlapping [start, start + length), in ascending
+  // (address, gseq) order. fn returning false stops the walk.
+  template <typename Fn>
+  void ForEachLaterOverlap(uint64_t domain, uint64_t start, size_t length, uint64_t after_gseq,
+                           Fn&& fn) const {
+    index_.ForEachOverlap(kSide, domain, start, length, [&](const RangeIndex::Entry& e) {
+      return e.order <= after_gseq || fn(Write{e.order, domain, e.start, e.length});
+    });
+  }
+
+  bool AnyLaterOverlap(uint64_t domain, uint64_t start, size_t length,
+                       uint64_t after_gseq) const {
+    bool found = false;
+    ForEachLaterOverlap(domain, start, length, after_gseq, [&found](const Write&) {
+      found = true;
+      return false;
+    });
+    return found;
+  }
+
+  // Drops every write with gseq < `live_bound` (every write when it is
+  // UINT64_MAX) unless keep(write) says it is still needed.
+  template <typename Keep>
+  void Prune(uint64_t live_bound, Keep&& keep) {
+    for (auto it = writes_.begin();
+         it != writes_.end() && (live_bound == UINT64_MAX || it->gseq < live_bound);) {
+      if (keep(*it)) {
+        ++it;
+        continue;
+      }
+      index_.Erase(kSide, it->domain, it->start, it->length, it->gseq);
+      it = writes_.erase(it);
+    }
+  }
+
+  size_t size() const { return writes_.size(); }
+  bool empty() const { return writes_.empty(); }
+
+ private:
+  static constexpr RangeIndex::Side kSide = RangeIndex::Side::kDst;
+
+  std::set<Write> writes_;
+  RangeIndex index_;
 };
 
 }  // namespace copier::core

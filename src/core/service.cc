@@ -1016,10 +1016,10 @@ Status CopierService::SettleForeign(Engine& thief, Client& client, PendingTask& 
     uint64_t lo = 0;
     uint64_t hi = 0;
     bool claimed = false;    // this call took `serving` (vs. reentrant hold)
-    bool owner_log = false;  // domain owner: also scan its completed-write log
+    bool owner_log = false;  // domain owner: also probe its completed-write log
   };
   std::vector<Settle> settles;
-  std::vector<Client::CompletedWrite> imports;
+  std::vector<LandedWriteLog::Write> imports;
   const uint64_t end = start + length;
   bool defer = false;
   {
@@ -1092,7 +1092,7 @@ Status CopierService::SettleForeign(Engine& thief, Client& client, PendingTask& 
   // Private->shared transition gap: an owner's own-space write that landed
   // *before* the domain turned shared never registered, so no tombstone
   // exists — but its completed-write log still records it. With the owner's
-  // claim held (taken above, or by an outer frame on this thread), scan the
+  // claim held (taken above, or by an outer frame on this thread), probe the
   // log for higher-gseq landed writes overlapping our window and import
   // them like tombstones, so our lower-gseq write is suppressed.
   if (writes) {
@@ -1100,30 +1100,20 @@ Status CopierService::SettleForeign(Engine& thief, Client& client, PendingTask& 
       if (!settle.owner_log) {
         continue;
       }
-      for (const Client::CompletedWrite& w : settle.victim->completed_writes) {
-        if (w.gseq <= task.gseq || w.domain != domain) {
-          continue;
-        }
-        const uint64_t lo = std::max(start, w.start);
-        const uint64_t hi = std::min(end, w.start + w.length);
-        if (lo < hi) {
-          imports.push_back({w.gseq, domain, lo, static_cast<size_t>(hi - lo)});
-        }
-      }
+      settle.victim->completed_writes.ForEachLaterOverlap(
+          domain, start, length, task.gseq, [&](const LandedWriteLog::Write& w) {
+            const uint64_t lo = std::max(start, w.start);
+            const uint64_t hi = std::min(end, w.start + w.length);
+            imports.push_back({w.gseq, domain, lo, static_cast<size_t>(hi - lo)});
+            return true;
+          });
     }
   }
   // Imports need no lock beyond the prober's own claim (its serving thread is
-  // us). Dedup: the same tombstone is seen once per probe of the window.
-  for (const Client::CompletedWrite& import : imports) {
-    const bool present = std::any_of(
-        client.completed_writes.begin(), client.completed_writes.end(),
-        [&import](const Client::CompletedWrite& w) {
-          return w.gseq == import.gseq && w.domain == import.domain &&
-                 w.start == import.start && w.length == import.length;
-        });
-    if (!present) {
-      client.completed_writes.push_back(import);
-    }
+  // us). The log drops duplicates: the same tombstone is seen once per probe
+  // of the window.
+  for (const LandedWriteLog::Write& import : imports) {
+    client.completed_writes.Insert(import);
   }
   // Phase 2 (no ledger lock): run the settles on the thief engine. A nested
   // defer unwinds the whole probe. Claims are NOT released as we go: the

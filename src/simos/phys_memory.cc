@@ -10,10 +10,10 @@ namespace copier::simos {
 PhysicalMemory::PhysicalMemory(size_t bytes, AllocPolicy policy, uint64_t seed)
     : total_frames_(AlignUp(bytes, kPageSize) >> kPageShift),
       policy_(policy),
+      refcount_(total_frames_),
       rng_(seed) {
   // Frames are zero-filled at fault time; the slab itself need not be.
   slab_ = std::make_unique_for_overwrite<uint8_t[]>(total_frames_ << kPageShift);
-  refcount_.assign(total_frames_, 0);
   free_list_.reserve(total_frames_);
   // Push descending so sequential pops ascend.
   for (size_t i = total_frames_; i > 0; --i) {
@@ -22,6 +22,11 @@ PhysicalMemory::PhysicalMemory(size_t bytes, AllocPolicy policy, uint64_t seed)
 }
 
 StatusOr<Pfn> PhysicalMemory::AllocFrame() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AllocFrameLocked();
+}
+
+StatusOr<Pfn> PhysicalMemory::AllocFrameLocked() {
   if (free_list_.empty()) {
     return ResourceExhausted("out of physical frames");
   }
@@ -40,8 +45,9 @@ StatusOr<Pfn> PhysicalMemory::AllocContiguous(size_t count) {
   if (count == 0) {
     return InvalidArgument("zero-frame contiguous allocation");
   }
+  std::lock_guard<std::mutex> lock(mu_);
   if (count == 1) {
-    return AllocFrame();
+    return AllocFrameLocked();
   }
   // Sort a copy of the free list and scan for a run. This is O(n log n) but
   // only used for skb pools and huge pages, both allocated rarely.
@@ -70,15 +76,18 @@ StatusOr<Pfn> PhysicalMemory::AllocContiguous(size_t count) {
 
 void PhysicalMemory::FreeFrame(Pfn pfn) {
   COPIER_DCHECK(pfn < total_frames_);
-  COPIER_DCHECK(refcount_[pfn] > 0) << "double free of frame " << pfn;
-  refcount_[pfn] = 0;
+  const uint32_t before = refcount_[pfn].exchange(0);
+  COPIER_DCHECK(before > 0) << "double free of frame " << pfn;
+  std::lock_guard<std::mutex> lock(mu_);
   free_list_.push_back(pfn);
 }
 
 void PhysicalMemory::Unref(Pfn pfn) {
   COPIER_DCHECK(pfn < total_frames_);
-  COPIER_DCHECK(refcount_[pfn] > 0);
-  if (--refcount_[pfn] == 0) {
+  const uint32_t before = refcount_[pfn]--;
+  COPIER_DCHECK(before > 0);
+  if (before == 1) {
+    std::lock_guard<std::mutex> lock(mu_);
     free_list_.push_back(pfn);
   }
 }

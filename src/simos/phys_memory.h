@@ -5,11 +5,17 @@
 // allocations get adjacent frames — the common case after boot) or fragmented
 // mode (randomized free-list — stresses the dispatcher's subtask splitting,
 // Fig. 7-b, since DMA needs physical contiguity).
+//
+// Every address space shares one pool, and faults, CoW breaks and remap
+// aliases of different processes run on different threads: reference counts
+// are atomic, and the free list sits behind a mutex.
 #ifndef COPIER_SRC_SIMOS_PHYS_MEMORY_H_
 #define COPIER_SRC_SIMOS_PHYS_MEMORY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/common/align.h"
@@ -45,7 +51,10 @@ class PhysicalMemory {
   const uint8_t* FrameData(Pfn pfn) const { return slab_.get() + (pfn << kPageShift); }
 
   size_t total_frames() const { return total_frames_; }
-  size_t free_frames() const { return free_list_.size(); }
+  size_t free_frames() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return free_list_.size();
+  }
 
   // Frame reference counting — shared CoW frames have count > 1.
   void Ref(Pfn pfn) { ++refcount_[pfn]; }
@@ -54,11 +63,14 @@ class PhysicalMemory {
   uint32_t RefCount(Pfn pfn) const { return refcount_[pfn]; }
 
  private:
+  StatusOr<Pfn> AllocFrameLocked();
+
   size_t total_frames_;
   AllocPolicy policy_;
   std::unique_ptr<uint8_t[]> slab_;
+  mutable std::mutex mu_;  // guards free_list_ and rng_
   std::vector<Pfn> free_list_;  // treated as stack (sequential) or sampled (fragmented)
-  std::vector<uint32_t> refcount_;
+  std::vector<std::atomic<uint32_t>> refcount_;
   Rng rng_;
 };
 

@@ -1,9 +1,13 @@
 // Engine-level tests: cross-queue barriers (order dependency), out-of-order
-// promotion, piggyback dispatch, ATCache, scheduler/cgroup fairness, and the
-// threaded service mode.
+// promotion, piggyback dispatch, ATCache, scheduler/cgroup fairness, the
+// threaded service mode, and a long completed-write log behind a held head.
 #include "src/core/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 
 #include "tests/test_util.h"
 
@@ -323,6 +327,149 @@ TEST(Breakeven, TaskSubmissionCheaperThanKernelCopyAbove300B) {
   const Cycles async_overhead = t.task_submit_cycles + t.csync_check_cycles;
   EXPECT_GT(t.CpuCopyCycles(hw::CopyUnitKind::kErms, 512), async_overhead);
   EXPECT_LT(t.CpuCopyCycles(hw::CopyUnitKind::kErms, 64), async_overhead);
+}
+
+// A long completed-write log (DESIGN.md "Pending-range interval index"): a
+// lazy head copy is held until its timeout while thousands of later copies —
+// RAW chains, overwrites of the head's destination, lazy copies, aborts,
+// promotes and UFUNC handlers — land behind it. Nothing retires or prunes
+// past the held head, so every later write stays in the log and every later
+// handler waits at the retirement frontier; then the head times out and
+// executes after all of them. Some copies go through a second queue pair into
+// a write-only window: pairs are ingested in turn, so an older copy there can
+// execute after a newer one landed, and only the log's dead-write
+// suppression keeps the newer bytes. Intermediate reads, the final image and
+// the handler order must equal those of the same program run with memcpy.
+TEST(LongCompletedWriteLog, LazyHeadHeldPastTimeoutMatchesMemcpy) {
+  constexpr size_t kSrc = 256 * kKiB;   // read-only source pool
+  constexpr size_t kWork = 512 * kKiB;  // shared working region
+  constexpr size_t kWindow = 32 * kKiB;  // written from both queue pairs, never read
+  constexpr size_t kHead = 64 * kKiB;
+  constexpr size_t kHeld = 8 * kKiB;  // tail of the head's dst no later copy touches
+  constexpr size_t kAborts = 8;
+  constexpr size_t kAbortSlot = 16 * kKiB;
+  constexpr size_t kOps = 4000;
+  constexpr size_t kArena = kSrc + kWork + kWindow + kAborts * kAbortSlot;
+  const auto overlaps = [](uint64_t a, size_t an, uint64_t b, size_t bn) {
+    return a < b + bn && b < a + an;
+  };
+  for (const uint64_t seed : {11u, 12u}) {
+    SCOPED_TRACE(seed);
+    core::CopierConfig config;
+    config.lazy_timeout_cycles = Cycles{1} << 40;  // released explicitly below
+    CopierStack stack(config);
+    const uint64_t base = stack.Map(kArena, "arena");
+    std::vector<uint8_t> model(kArena);
+    Rng fill(seed);
+    for (uint8_t& b : model) {
+      b = static_cast<uint8_t>(fill.Next());
+    }
+    ASSERT_TRUE(stack.proc->mem().WriteBytes(base, model.data(), kArena).ok());
+    const auto first_mismatch = [&] {
+      const std::vector<uint8_t> image = ReadAll(stack.proc->mem(), base, kArena);
+      return static_cast<size_t>(
+          std::mismatch(image.begin(), image.end(), model.begin()).first - image.begin());
+    };
+    const auto copy = [&](uint64_t dst, uint64_t src, size_t n, lib::AmemcpyOptions opts,
+                          bool lands) {
+      EXPECT_NE(stack.lib->_amemcpy(base + dst, base + src, n, opts), nullptr);
+      if (lands) {
+        std::memmove(model.data() + dst, model.data() + src, n);
+      }
+    };
+    lib::AmemcpyOptions lazy;
+    lazy.lazy = true;
+    const int second_pair = stack.lib->create_queue();
+    const uint64_t window = kSrc + kWork;
+
+    const uint64_t work = kSrc;
+    const uint64_t held = work + kHead - kHeld;
+    copy(work, 0, kHead, lazy, /*lands=*/true);  // the held head
+
+    Rng rng(seed * 7919);
+    std::vector<std::pair<uint64_t, size_t>> recent;  // RAW-chain feeders
+    std::vector<uint64_t> handler_order;
+    uint64_t handlers = 0;
+    size_t aborts = 0;
+    for (size_t i = 0; i < kOps; ++i) {
+      if (i % (kOps / kAborts) == kOps / kAborts - 1) {
+        // Abort victim: a lazy copy into its own slot, discarded while queued.
+        const uint64_t slot = window + kWindow + aborts++ * kAbortSlot;
+        copy(slot, rng.Below(kSrc - kAbortSlot), kAbortSlot, lazy, /*lands=*/false);
+        stack.lib->abort_range(base + slot, kAbortSlot);
+        continue;
+      }
+      size_t n = size_t{256} << rng.Below(6);  // 256 B .. 8 KiB
+      if (i % 8 == 2 || i % 8 == 6) {
+        // Write-only window, alternately from each queue pair.
+        lib::AmemcpyOptions opts;
+        opts.fd = i % 8 == 6 ? second_pair : 0;
+        copy(window + rng.Below(kWindow - n), rng.Below(kSrc - n), n, opts, /*lands=*/true);
+        continue;
+      }
+      uint64_t src = 0;
+      if (i % 8 == 3 && !recent.empty()) {
+        const auto& [feeder, feeder_len] = recent[rng.Below(recent.size())];
+        src = feeder;
+        n = std::min(n, feeder_len);
+      } else {
+        src = rng.Below(kSrc - n);
+      }
+      uint64_t dst = 0;
+      do {
+        dst = work + rng.Below(kWork - n) / 64 * 64;
+      } while (overlaps(dst, n, held, kHeld) || overlaps(dst, n, src, n));
+      lib::AmemcpyOptions opts;
+      opts.lazy = i % 32 == 7;
+      if (i % 16 == 5) {
+        const uint64_t id = handlers++;
+        opts.ufunc = [&handler_order, id](Cycles) { handler_order.push_back(id); };
+      }
+      copy(dst, src, n, opts, /*lands=*/true);
+      recent.emplace_back(dst, n);
+      if (recent.size() > 8) {
+        recent.erase(recent.begin());
+      }
+      if (i % 64 == 63) {
+        stack.service->Serve(*stack.client, 64 * kKiB);
+      }
+      const auto [pdst, plen] = recent[rng.Below(recent.size())];
+      if (i % 256 == 255 && !overlaps(pdst, plen, work, kHead)) {
+        // Promote a recent destination out of order and read it back. (A
+        // promotion touching the head's destination would promote the whole
+        // lazy head.)
+        ASSERT_TRUE(stack.lib->csync(base + pdst, plen).ok());
+        ASSERT_TRUE(std::equal(model.begin() + pdst, model.begin() + pdst + plen,
+                               ReadAll(stack.proc->mem(), base + pdst, plen).begin()))
+            << "op " << i << " read [" << pdst << ", +" << plen << ")";
+      }
+    }
+    stack.service->Serve(*stack.client);
+    stack.lib->post_handlers();
+
+    // The scenario held: the head is the retirement frontier, still unlanded,
+    // every later write is logged, and no later handler has run.
+    const core::PendingTask* frontier = stack.client->frontier();
+    ASSERT_NE(frontier, nullptr);
+    EXPECT_EQ(frontier->order, 0u);
+    EXPECT_FALSE(frontier->Done());
+    EXPECT_GT(stack.client->completed_writes.size(), kOps / 2);
+    EXPECT_TRUE(handler_order.empty());
+
+    // Past the timeout the head runs in the FIFO pass, behind every newer write.
+    stack.service->engine_ctx().WaitUntil(config.lazy_timeout_cycles + 1);
+    stack.service->DrainAll();
+    ASSERT_TRUE(stack.lib->csync_all().ok());
+    stack.lib->post_handlers();
+
+    EXPECT_EQ(first_mismatch(), kArena);
+    std::vector<uint64_t> submission_order(handlers);
+    std::iota(submission_order.begin(), submission_order.end(), 0);
+    EXPECT_EQ(handler_order, submission_order);
+    EXPECT_EQ(stack.service->TotalStats().tasks_aborted, kAborts);
+    EXPECT_TRUE(stack.client->pending.empty());
+    EXPECT_TRUE(stack.client->completed_writes.empty());
+  }
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 // op stream (insert / erase / overlap query) replayed against a reference
 // linear-scan implementation, asserting identical answers — the same queries
 // the Engine issues (producer lookup, conflict matching, abort matching).
+// LandedWriteLog gets the same treatment: its later-write probe is checked
+// against a brute-force scan of the log over random insert / import / prune
+// sequences.
 #include "src/core/range_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 namespace copier::core {
@@ -74,11 +78,11 @@ TEST(RangeIndex, DuplicateCoordinatesDistinguishedByOrder) {
   index.Insert(Side::kDst, 1, 0x1000, 0x100, 5, nullptr);
   index.Insert(Side::kDst, 1, 0x1000, 0x200, 9, nullptr);
   EXPECT_EQ(index.size(), 2u);
-  index.Erase(Side::kDst, 1, 0x1000, 5);
+  index.Erase(Side::kDst, 1, 0x1000, 0x100, 5);
   EXPECT_EQ(index.size(), 1u);
   EXPECT_EQ(CollectOrders(index, Side::kDst, 1, 0x1000, 1), std::vector<uint64_t>{9});
   // Erasing an absent entry is a no-op.
-  index.Erase(Side::kDst, 1, 0x1000, 5);
+  index.Erase(Side::kDst, 1, 0x1000, 0x100, 5);
   EXPECT_EQ(index.size(), 1u);
 }
 
@@ -123,10 +127,11 @@ struct RefIndex {
     }
     sides[static_cast<size_t>(side)].push_back({domain, start, length, order});
   }
-  void Erase(Side side, uint64_t domain, uint64_t start, uint64_t order) {
+  void Erase(Side side, uint64_t domain, uint64_t start, size_t length, uint64_t order) {
     auto& v = sides[static_cast<size_t>(side)];
     for (auto it = v.begin(); it != v.end(); ++it) {
-      if (it->domain == domain && it->start == start && it->order == order) {
+      if (it->domain == domain && it->start == start && it->length == length &&
+          it->order == order) {
         v.erase(it);
         return;
       }
@@ -164,8 +169,8 @@ TEST(RangeIndexDifferential, TenThousandRandomOpsMatchLinearReference) {
   RefIndex ref;
   Rng rng;
   uint64_t next_order = 0;
-  // Live entries for targeted erases, as (side, domain, start, order).
-  std::vector<std::tuple<Side, uint64_t, uint64_t, uint64_t>> live;
+  // Live entries for targeted erases, as (side, domain, start, length, order).
+  std::vector<std::tuple<Side, uint64_t, uint64_t, size_t, uint64_t>> live;
 
   // Small universe so ranges overlap heavily: 2 domains, addresses < 4096,
   // lengths 1..256.
@@ -182,12 +187,12 @@ TEST(RangeIndexDifferential, TenThousandRandomOpsMatchLinearReference) {
       const uint64_t order = next_order++;
       index.Insert(side, domain, start, length, order, nullptr);
       ref.Insert(side, domain, start, length, order);
-      live.emplace_back(side, domain, start, order);
+      live.emplace_back(side, domain, start, length, order);
     } else if (kind < 7) {  // erase a random live entry
       const size_t victim = rng.Below(live.size());
-      const auto [side, domain, start, order] = live[victim];
-      index.Erase(side, domain, start, order);
-      ref.Erase(side, domain, start, order);
+      const auto [side, domain, start, length, order] = live[victim];
+      index.Erase(side, domain, start, length, order);
+      ref.Erase(side, domain, start, length, order);
       live[victim] = live.back();
       live.pop_back();
     } else {  // overlap query, compared element-for-element
@@ -208,10 +213,188 @@ TEST(RangeIndexDifferential, TenThousandRandomOpsMatchLinearReference) {
   }
 
   // Drain: erase everything and confirm the index empties cleanly.
-  for (const auto& [side, domain, start, order] : live) {
-    index.Erase(side, domain, start, order);
+  for (const auto& [side, domain, start, length, order] : live) {
+    index.Erase(side, domain, start, length, order);
   }
   EXPECT_TRUE(index.empty());
+}
+
+TEST(RangeIndex, EraseIsExactOnLength) {
+  RangeIndex index;
+  index.Insert(Side::kDst, 1, 0x1000, 0x100, 7, nullptr);
+  index.Insert(Side::kDst, 1, 0x1000, 0x40, 7, nullptr);
+  index.Erase(Side::kDst, 1, 0x1000, 0x40, 7);
+  EXPECT_EQ(index.size(), 1u);
+  // The longer entry survived: it still covers bytes past 0x1040.
+  EXPECT_EQ(CollectOrders(index, Side::kDst, 1, 0x1080, 1), std::vector<uint64_t>{7});
+}
+
+// --- LandedWriteLog ---------------------------------------------------------
+
+using Write = LandedWriteLog::Write;
+
+std::vector<std::tuple<uint64_t, uint64_t, size_t>> LaterOverlaps(const LandedWriteLog& log,
+                                                                  uint64_t domain,
+                                                                  uint64_t start, size_t length,
+                                                                  uint64_t after_gseq) {
+  std::vector<std::tuple<uint64_t, uint64_t, size_t>> hits;  // (start, gseq, length)
+  log.ForEachLaterOverlap(domain, start, length, after_gseq, [&](const Write& w) {
+    EXPECT_EQ(w.domain, domain);
+    hits.emplace_back(w.start, w.gseq, w.length);
+    return true;
+  });
+  return hits;
+}
+
+TEST(LandedWriteLog, ProbeSeesOnlyLaterOverlappingWrites) {
+  LandedWriteLog log;
+  log.Insert({/*gseq=*/5, /*domain=*/1, 0x1000, 0x100});
+  log.Insert({9, 1, 0x1080, 0x100});
+  log.Insert({12, 2, 0x1000, 0x100});  // other domain
+  EXPECT_EQ(LaterOverlaps(log, 1, 0x1000, 0x200, 4),
+            (std::vector<std::tuple<uint64_t, uint64_t, size_t>>{{0x1000, 5, 0x100},
+                                                                  {0x1080, 9, 0x100}}));
+  EXPECT_EQ(LaterOverlaps(log, 1, 0x1000, 0x200, 5),
+            (std::vector<std::tuple<uint64_t, uint64_t, size_t>>{{0x1080, 9, 0x100}}));
+  EXPECT_FALSE(log.AnyLaterOverlap(1, 0x1000, 0x80, 5));  // gseq 9 starts at 0x1080
+  EXPECT_TRUE(log.AnyLaterOverlap(1, 0x1000, 0x81, 5));
+  EXPECT_FALSE(log.AnyLaterOverlap(1, 0x1000, 0x200, 9));
+}
+
+TEST(LandedWriteLog, ImportsSharingStartAndGseqKeepEveryLength) {
+  // One foreign tombstone clipped to two different probe windows: same
+  // (domain, start, gseq), different lengths. Both are distinct entries, an
+  // identical re-import is a no-op, and pruning removes each exactly.
+  LandedWriteLog log;
+  log.Insert({20, 1, 0x2000, 0x80});
+  log.Insert({20, 1, 0x2000, 0x200});
+  log.Insert({20, 1, 0x2000, 0x80});
+  EXPECT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log.AnyLaterOverlap(1, 0x2100, 1, 19));
+  log.Prune(/*live_bound=*/21, [](const Write& w) { return w.length == 0x200; });
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_TRUE(log.AnyLaterOverlap(1, 0x2100, 1, 19));
+  log.Prune(21, [](const Write&) { return false; });
+  EXPECT_TRUE(log.empty());
+  EXPECT_FALSE(log.AnyLaterOverlap(1, 0x2000, 0x200, 0));
+}
+
+TEST(LandedWriteLog, PruneKeepsWritesAtOrAboveTheLiveBound) {
+  LandedWriteLog log;
+  log.Insert({3, 1, 0x0, 0x10});
+  log.Insert({7, 1, 0x0, 0x10});
+  log.Insert({8, 1, 0x0, 0x10});
+  // A write below the bound that a foreign prober may still import survives.
+  log.Prune(/*live_bound=*/7, [](const Write& w) { return w.gseq == 3; });
+  EXPECT_EQ(log.size(), 3u);
+  log.Prune(7, [](const Write&) { return false; });
+  EXPECT_EQ(LaterOverlaps(log, 1, 0, 0x10, 0),
+            (std::vector<std::tuple<uint64_t, uint64_t, size_t>>{{0x0, 7, 0x10},
+                                                                  {0x0, 8, 0x10}}));
+  // No live task at all: every write is a pruning candidate.
+  log.Prune(UINT64_MAX, [](const Write&) { return false; });
+  EXPECT_TRUE(log.empty());
+}
+
+// Reference model of the log: a flat vector scanned linearly, as the Engine
+// did before the log was indexed.
+struct RefLog {
+  std::vector<Write> writes;
+
+  static bool Same(const Write& a, const Write& b) {
+    return a.gseq == b.gseq && a.domain == b.domain && a.start == b.start &&
+           a.length == b.length;
+  }
+  void Insert(const Write& w) {
+    if (w.length == 0 || std::any_of(writes.begin(), writes.end(),
+                                     [&](const Write& x) { return Same(x, w); })) {
+      return;
+    }
+    writes.push_back(w);
+  }
+  template <typename Keep>
+  void Prune(uint64_t live_bound, Keep keep) {
+    std::erase_if(writes, [&](const Write& w) {
+      if (live_bound != UINT64_MAX && w.gseq >= live_bound) {
+        return false;
+      }
+      return !keep(w);
+    });
+  }
+  std::vector<std::tuple<uint64_t, uint64_t, size_t>> Later(uint64_t domain, uint64_t start,
+                                                            size_t length,
+                                                            uint64_t after_gseq) const {
+    std::vector<std::tuple<uint64_t, uint64_t, size_t>> hits;
+    for (const Write& w : writes) {
+      if (w.gseq > after_gseq && w.domain == domain && w.start < start + length &&
+          start < w.start + w.length) {
+        hits.emplace_back(w.start, w.gseq, w.length);
+      }
+    }
+    std::sort(hits.begin(), hits.end());
+    return hits;
+  }
+};
+
+TEST(LandedWriteLogDifferential, RandomInsertImportPruneMatchesLinearScan) {
+  LandedWriteLog log;
+  RefLog ref;
+  Rng rng;
+  uint64_t next_gseq = 1;
+  uint64_t live_bound = 1;  // lowest gseq a live task may still hold
+  // Stand-in for LandedWriteStillNeeded: some writes below the bound stay
+  // needed by a foreign prober for a while.
+  uint64_t needed_mod = 5;
+  const auto keep = [&needed_mod](const Write& w) { return w.gseq % needed_mod == 0; };
+  const auto rand_domain = [&] { return 1 + rng.Below(2); };
+
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t kind = rng.Below(20);
+    if (kind < 8) {  // a local task lands: fresh gseq
+      const Write w{next_gseq++, rand_domain(), rng.Below(4096), 1 + rng.Below(256)};
+      log.Insert(w);
+      ref.Insert(w);
+    } else if (kind < 12 && !ref.writes.empty()) {
+      // Import: a logged write (possibly a foreign client's tombstone) clipped
+      // to a random probe window. Windows sharing the entry's start but not
+      // its end give imports with equal (domain, start, gseq) and different
+      // lengths; repeated windows give exact duplicates.
+      const Write& src = ref.writes[rng.Below(ref.writes.size())];
+      const uint64_t lo = rng.Below(2) == 0 ? src.start : src.start + rng.Below(src.length);
+      const uint64_t hi = lo + 1 + rng.Below(src.start + src.length - lo);
+      const Write w{src.gseq + rng.Below(2) * 100000, src.domain, lo, hi - lo};
+      log.Insert(w);
+      ref.Insert(w);
+    } else if (kind < 14) {  // retirement: the bound moves, then prune
+      if (rng.Below(8) == 0) {
+        live_bound = UINT64_MAX;  // nothing live
+      } else {
+        live_bound = std::min<uint64_t>(next_gseq, (live_bound == UINT64_MAX ? 1 : live_bound) +
+                                                       rng.Below(64));
+      }
+      if (rng.Below(4) == 0) {
+        needed_mod = 2 + rng.Below(6);
+      }
+      log.Prune(live_bound, keep);
+      ref.Prune(live_bound, keep);
+      if (live_bound == UINT64_MAX) {
+        live_bound = next_gseq;
+      }
+    } else {  // probe, compared element for element
+      const uint64_t domain = rand_domain();
+      const uint64_t start = rng.Below(4096);
+      const size_t length = 1 + rng.Below(512);
+      const uint64_t after = rng.Below(next_gseq + 1);
+      const auto want = ref.Later(domain, start, length, after);
+      ASSERT_EQ(LaterOverlaps(log, domain, start, length, after), want)
+          << "op=" << op << " domain=" << domain << " query=[" << start << ","
+          << start + length << ") after=" << after;
+      ASSERT_EQ(log.AnyLaterOverlap(domain, start, length, after), !want.empty()) << "op=" << op;
+    }
+    ASSERT_EQ(log.size(), ref.writes.size()) << "op=" << op;
+  }
+  log.Prune(UINT64_MAX, [](const Write&) { return false; });
+  EXPECT_TRUE(log.empty());
 }
 
 }  // namespace
