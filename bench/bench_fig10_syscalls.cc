@@ -129,30 +129,26 @@ double RecvLatencyUs(const hw::TimingModel& t, size_t size, const std::string& k
 }
 
 // Submission accounting for one Copier send: queue entries, scatter-gather
-// batches, and doorbells (NotifyRunnable calls). Vectored submission turns
-// a 1 MiB send from ~256 entries + ~256 doorbells into 1 + 1.
+// batches, and doorbells (NotifyRunnable calls). Vectored submission
+// publishes a 1 MiB send's 256 skbs as 1 entry behind 1 doorbell.
 void PrintSubmissionAccounting(const hw::TimingModel& t) {
   PrintBanner("Copier send() submission accounting (per syscall)");
-  TextTable table({"size", "mode", "entries", "sg batches", "doorbells", "kfuncs"});
+  TextTable table({"size", "entries", "sg batches", "doorbells", "kfuncs"});
   for (size_t size : {64 * kKiB, kMiB}) {
-    for (bool vectored : {true, false}) {
-      core::CopierConfig config;
-      config.enable_vectored_submit = vectored;
-      BenchStack stack(&t, config);
-      apps::AppProcess* app = stack.NewApp("tx");
-      auto [sock, peer] = stack.kernel->CreateSocketPair();
-      (void)peer;
-      const uint64_t buf = app->Map(size, "buf");
-      const core::Engine::Stats before = stack.service->TotalStats();
-      COPIER_CHECK(stack.kernel->Send(*app->proc(), sock, buf, size, &app->ctx()).ok());
-      stack.service->DrainAll();
-      const core::Engine::Stats after = stack.service->TotalStats();
-      table.AddRow({TextTable::Bytes(size), vectored ? "vectored" : "per-op",
-                    TextTable::Num(after.submit_entries - before.submit_entries, 0),
-                    TextTable::Num(after.submit_batches - before.submit_batches, 0),
-                    TextTable::Num(after.notify_calls - before.notify_calls, 0),
-                    TextTable::Num(after.kfuncs_run - before.kfuncs_run, 0)});
-    }
+    BenchStack stack(&t);
+    apps::AppProcess* app = stack.NewApp("tx");
+    auto [sock, peer] = stack.kernel->CreateSocketPair();
+    (void)peer;
+    const uint64_t buf = app->Map(size, "buf");
+    const core::Engine::Stats before = stack.service->TotalStats();
+    COPIER_CHECK(stack.kernel->Send(*app->proc(), sock, buf, size, &app->ctx()).ok());
+    stack.service->DrainAll();
+    const core::Engine::Stats after = stack.service->TotalStats();
+    table.AddRow({TextTable::Bytes(size),
+                  TextTable::Num(after.submit_entries - before.submit_entries, 0),
+                  TextTable::Num(after.submit_batches - before.submit_batches, 0),
+                  TextTable::Num(after.notify_calls - before.notify_calls, 0),
+                  TextTable::Num(after.kfuncs_run - before.kfuncs_run, 0)});
   }
   table.Print();
 }

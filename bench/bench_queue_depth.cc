@@ -1,22 +1,22 @@
 // Queue-depth sweep: coordination cost of the Engine's pending-task lookups
-// as the outstanding-task count grows, with the pending-range interval index
-// (enable_range_index, the default) vs the linear-scan baseline.
+// (the pending-range interval index) as the outstanding-task count grows.
 //
-// Every depth runs the SAME submission stream — mostly-disjoint small copies
+// Every depth runs one submission stream — mostly-disjoint small copies
 // through a shared working region, a slice of absorption chains, plus
-// promotes and aborts arriving at full depth — in both modes, and checks the
-// final memory images are identical. Reported per mode:
+// promotes and aborts arriving at full depth — and checks the final memory
+// image against an in-order memcpy replay of the same stream. Reported:
 //   * engine virtual cycles per task (the service-side cost of one task),
 //   * dep_tasks_scanned per task (candidates examined by all lookups),
 //   * dep_probes (lookups issued).
-// The index turns each lookup from O(pending) into O(log n + k), so cycles
-// and candidates per task should stay roughly flat while the baseline grows
-// linearly with depth (O(n²) total).
+// The index makes each lookup O(log n + k), so cycles and candidates per
+// task stay roughly flat with depth; the flatness gate fails the run if
+// cycles per task at the largest depth exceed 2x those at the smallest.
 //
 // --json additionally writes BENCH_queue_depth.json for scripts/bench_smoke.sh.
 #include "bench/bench_util.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -35,12 +35,15 @@ struct DepthResult {
   uint64_t dep_probes = 0;
   uint64_t dep_tasks_scanned = 0;
   uint64_t bytes_copied = 0;
-  uint64_t checksum = 0;  // FNV-1a over the final arena image
+  bool matches_reference = false;  // final image == in-order memcpy replay
 };
 
-DepthResult RunDepth(const hw::TimingModel& timing, size_t depth, bool indexed) {
+// Cycles per task at the largest depth may be at most this multiple of those
+// at the smallest depth.
+constexpr double kFlatnessBound = 2.0;
+
+DepthResult RunDepth(const hw::TimingModel& timing, size_t depth) {
   core::CopierConfig config;
-  config.enable_range_index = indexed;
   config.queue_capacity = 16384;  // hold the whole wave before serving
   BenchStack stack(&timing, config);
   apps::AppProcess* app = stack.NewApp("depthbench");
@@ -53,16 +56,27 @@ DepthResult RunDepth(const hw::TimingModel& timing, size_t depth, bool indexed) 
   const size_t kS = 512 * kKiB;
   const size_t kW = depth * 2 * kLen;
   const size_t kAborts = 8;
-  const uint64_t arena = app->Map(kS + kW + kAborts * kLen, "arena");
+  const size_t kTotal = kS + kW + kAborts * kLen;
+  const uint64_t arena = app->Map(kTotal, "arena");
   const uint64_t w_base = arena + kS;
   const uint64_t x_base = arena + kS + kW;
+
+  // Patterned initial bytes, so a copy that lands wrong bytes (or none)
+  // changes the image. `reference` replays every copy in submission order.
+  Rng fill_rng(0xF111 ^ depth);
+  std::vector<uint8_t> reference(kTotal);
+  for (auto& byte : reference) {
+    byte = static_cast<uint8_t>(fill_rng.Next());
+  }
+  COPIER_CHECK_OK(app->proc()->mem().WriteBytes(arena, reference.data(), kTotal, nullptr));
 
   Rng rng(0xC0FFEE ^ depth);
   std::vector<uint64_t> recent_dsts;  // absorption-chain feeders
   size_t aborts_submitted = 0;
   for (size_t i = 0; i < depth; ++i) {
     if (i % (depth / kAborts) == depth / kAborts - 1 && aborts_submitted < kAborts) {
-      // Abort victim: its X slot keeps the initial bytes in both modes.
+      // Abort victim: aborted before it executes, so its X slot keeps the
+      // initial bytes (no reference effect).
       app->lib()->amemcpy(x_base + aborts_submitted * kLen, arena + rng.Below(kS - kLen),
                           kLen, &app->ctx());
       ++aborts_submitted;
@@ -76,6 +90,7 @@ DepthResult RunDepth(const hw::TimingModel& timing, size_t depth, bool indexed) 
       src = arena + rng.Below(kS - kLen);
     }
     app->lib()->amemcpy(dst, src, kLen, &app->ctx());
+    std::memcpy(reference.data() + (dst - arena), reference.data() + (src - arena), kLen);
     recent_dsts.push_back(dst);
     if (recent_dsts.size() > 8) {
       recent_dsts.erase(recent_dsts.begin());
@@ -114,79 +129,60 @@ DepthResult RunDepth(const hw::TimingModel& timing, size_t depth, bool indexed) 
   result.dep_tasks_scanned = stats.dep_tasks_scanned;
   result.bytes_copied = stats.bytes_copied;
 
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a over the final image
-  std::vector<uint8_t> image(kS + kW + kAborts * kLen);
-  if (!app->proc()->mem().ReadBytes(arena, image.data(), image.size()).ok()) {
-    std::fprintf(stderr, "arena readback failed at depth %zu\n", depth);
-  }
-  for (uint8_t byte : image) {
-    hash = (hash ^ byte) * 1099511628211ull;
-  }
-  result.checksum = hash;
+  std::vector<uint8_t> image(kTotal);
+  COPIER_CHECK_OK(app->proc()->mem().ReadBytes(arena, image.data(), image.size()));
+  result.matches_reference = image == reference;
   return result;
 }
 
 void Run(int argc, char** argv) {
   const hw::TimingModel& timing = SelectTiming(argc, argv);
-  PrintBanner("Queue-depth sweep: interval index vs linear pending-list scans");
+  PrintBanner("Queue-depth sweep: interval-indexed pending-task lookups");
   const std::vector<size_t> depths = {16, 64, 256, 1024, 2048, 4096};
 
-  TextTable table({"depth", "cyc/task idx", "cyc/task lin", "speedup", "scanned/task idx",
-                   "scanned/task lin", "reduction", "identical"});
-  std::vector<std::pair<DepthResult, DepthResult>> rows;
+  TextTable table({"depth", "cyc/task", "scanned/task", "identical"});
+  std::vector<DepthResult> rows;
   for (size_t depth : depths) {
-    const DepthResult idx = RunDepth(timing, depth, /*indexed=*/true);
-    const DepthResult lin = RunDepth(timing, depth, /*indexed=*/false);
-    rows.emplace_back(idx, lin);
-    const double idx_cyc = static_cast<double>(idx.engine_cycles) / depth;
-    const double lin_cyc = static_cast<double>(lin.engine_cycles) / depth;
-    const double idx_scan = static_cast<double>(idx.dep_tasks_scanned) / depth;
-    const double lin_scan = static_cast<double>(lin.dep_tasks_scanned) / depth;
-    table.AddRow({TextTable::Num(depth, 0), TextTable::Num(idx_cyc, 0),
-                  TextTable::Num(lin_cyc, 0), TextTable::Num(lin_cyc / idx_cyc, 1) + "x",
-                  TextTable::Num(idx_scan, 1), TextTable::Num(lin_scan, 1),
-                  TextTable::Num(lin_scan / (idx_scan > 0 ? idx_scan : 1), 1) + "x",
-                  idx.checksum == lin.checksum ? "yes" : "NO"});
-    if (idx.checksum != lin.checksum) {
-      std::fprintf(stderr, "MISMATCH at depth %zu: indexed and linear images differ\n",
+    const DepthResult r = RunDepth(timing, depth);
+    rows.push_back(r);
+    table.AddRow({TextTable::Num(depth, 0),
+                  TextTable::Num(static_cast<double>(r.engine_cycles) / depth, 0),
+                  TextTable::Num(static_cast<double>(r.dep_tasks_scanned) / depth, 1),
+                  r.matches_reference ? "yes" : "NO"});
+    if (!r.matches_reference) {
+      std::fprintf(stderr, "MISMATCH at depth %zu: image differs from the in-order replay\n",
                    depth);
     }
   }
   table.Print();
-  std::printf("\npeak pending at the largest depth: %zu (indexed), %zu (linear)\n",
-              rows.back().first.peak_pending, rows.back().second.peak_pending);
+  std::printf("\npeak pending at the largest depth: %zu\n", rows.back().peak_pending);
+  const uint64_t first_cpt = rows.front().engine_cycles / rows.front().depth;
+  const uint64_t last_cpt = rows.back().engine_cycles / rows.back().depth;
+  const double flatness = static_cast<double>(last_cpt) / static_cast<double>(first_cpt);
+  const bool flat = flatness <= kFlatnessBound;
+  std::printf("flatness gate %s (cycles_per_task %llu at depth %zu vs %llu at depth %zu = %.2fx, "
+              "bound %.1fx)\n",
+              flat ? "ok" : "NO", static_cast<unsigned long long>(last_cpt), rows.back().depth,
+              static_cast<unsigned long long>(first_cpt), rows.front().depth, flatness,
+              kFlatnessBound);
 
   if (HasFlag(argc, argv, "--json")) {
     std::ofstream out("BENCH_queue_depth.json");
     out << "{\n  \"bench\": \"queue_depth\",\n  \"depths\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
-      const auto& [idx, lin] = rows[i];
-      out << "    {\"depth\": " << idx.depth << ",\n"
-          << "     \"indexed\": {\"engine_cycles\": " << idx.engine_cycles
-          << ", \"cycles_per_task\": " << idx.engine_cycles / idx.depth
-          << ", \"dep_probes\": " << idx.dep_probes
-          << ", \"dep_tasks_scanned\": " << idx.dep_tasks_scanned
-          << ", \"scanned_per_task\": "
-          << static_cast<double>(idx.dep_tasks_scanned) / idx.depth
-          << ", \"bytes_copied\": " << idx.bytes_copied
-          << ", \"peak_pending\": " << idx.peak_pending << "},\n"
-          << "     \"linear\": {\"engine_cycles\": " << lin.engine_cycles
-          << ", \"cycles_per_task\": " << lin.engine_cycles / lin.depth
-          << ", \"dep_probes\": " << lin.dep_probes
-          << ", \"dep_tasks_scanned\": " << lin.dep_tasks_scanned
-          << ", \"scanned_per_task\": "
-          << static_cast<double>(lin.dep_tasks_scanned) / lin.depth
-          << ", \"bytes_copied\": " << lin.bytes_copied
-          << ", \"peak_pending\": " << lin.peak_pending << "},\n"
-          << "     \"cycles_speedup\": "
-          << static_cast<double>(lin.engine_cycles) / idx.engine_cycles
-          << ", \"scanned_reduction\": "
-          << static_cast<double>(lin.dep_tasks_scanned) /
-                 (idx.dep_tasks_scanned > 0 ? idx.dep_tasks_scanned : 1)
-          << ", \"identical_result\": " << (idx.checksum == lin.checksum ? "true" : "false")
-          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+      const DepthResult& r = rows[i];
+      out << "    {\"depth\": " << r.depth << ", \"engine_cycles\": " << r.engine_cycles
+          << ", \"cycles_per_task\": " << r.engine_cycles / r.depth
+          << ", \"dep_probes\": " << r.dep_probes
+          << ", \"dep_tasks_scanned\": " << r.dep_tasks_scanned
+          << ", \"scanned_per_task\": " << static_cast<double>(r.dep_tasks_scanned) / r.depth
+          << ", \"bytes_copied\": " << r.bytes_copied << ", \"peak_pending\": " << r.peak_pending
+          << ", \"identical_result\": " << (r.matches_reference ? "true" : "false") << "}"
+          << (i + 1 < rows.size() ? "," : "") << "\n";
     }
-    out << "  ]\n}\n";
+    out << "  ],\n  \"flatness\": {\"cycles_per_task_ratio\": " << flatness
+        << ", \"bound\": " << kFlatnessBound << ", \"pass\": " << (flat ? "true" : "false")
+        << "}\n}\n";
     std::printf("wrote BENCH_queue_depth.json\n");
   }
 }

@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Bench smoke: Release build + the benches that gate engine/scheduler/
-# submission performance work. Writes BENCH_queue_depth.json (indexed vs
-# linear queue-depth sweep), BENCH_sched.json (sharded vs linear scheduler
-# sweep), BENCH_submit_batch.json (vectored vs per-skb submission sweep),
-# BENCH_dma_channels.json (async multi-channel DMA sweep vs the blocking
-# single-channel baseline), BENCH_engines.json (engine-pool sweep, 1 -> 8
-# copier engines), BENCH_remap.json (zero-copy remap tier vs copy ablation),
+# submission performance work. Writes BENCH_queue_depth.json (interval-indexed
+# queue-depth sweep, images checked against an in-order memcpy replay, gated
+# on cycles/task at depth 4096 <= 2x depth 16), BENCH_sched.json (sharded vs
+# linear scheduler sweep), BENCH_submit_batch.json (vectored submission sweep,
+# received bytes checked against the source, gated on 1 entry + 1 doorbell
+# per send), BENCH_dma_channels.json (async multi-channel DMA sweep vs the
+# blocking single-channel baseline), BENCH_engines.json (engine-pool sweep,
+# 1 -> 8 copier engines), BENCH_remap.json (zero-copy remap tier vs copy ablation),
 # BENCH_ipc_fuse.json (fused single-hop IPC vs the two-step ablation, gated
 # at >=1.4x on the 1 MiB socket row, >=1.5x on >=64 KiB binder parcels,
 # >=90% fused rate on the pipelined qd4 rows, and >=1.8x on the
 # proxy-forwarded pipeline-e2e rows — which must all be present),
 # BENCH_cow.json (CoW fault split handling), and BENCH_serve.json (open-loop
 # serving sweep: p50/p99/p999 vs offered load, overload admission policies) at
-# the repo root; fails if any sweep reports non-identical memory images, a
-# gated remap/fuse row misses its moved-bytes drop or speedup floor, or the
-# serving sweep's p999 knee fails to move right under load shedding.
+# the repo root; fails if any sweep reports non-identical memory images, the
+# queue-depth sweep is not flat, a send needs more than one batch, a gated
+# remap/fuse row misses its moved-bytes drop or speedup floor, or the serving
+# sweep's p999 knee fails to move right under load shedding.
 #
 # Usage: scripts/bench_smoke.sh [quick]
 #   quick — CI mode: the vectored-submission sweep runs its two-size subset
@@ -31,7 +34,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target bench_queue_depth bench_sched 
 echo
 "$BUILD_DIR"/bench/bench_queue_depth --json | tee /tmp/bench_queue_depth.out
 if grep -q ' NO ' /tmp/bench_queue_depth.out; then
-  echo "bench_queue_depth: indexed and linear images differ" >&2
+  echo "bench_queue_depth: an image differs from the in-order replay or cycles/task is not flat" >&2
   exit 1
 fi
 
@@ -49,7 +52,7 @@ else
   "$BUILD_DIR"/bench/bench_submit_batch --json | tee /tmp/bench_submit_batch.out
 fi
 if grep -q ' NO ' /tmp/bench_submit_batch.out; then
-  echo "bench_submit_batch: vectored and per-op images differ" >&2
+  echo "bench_submit_batch: received bytes differ from the source or a send needed more than one batch" >&2
   exit 1
 fi
 

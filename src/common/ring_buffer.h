@@ -37,12 +37,21 @@ class MpscRingBuffer {
 
   size_t capacity() const { return capacity_; }
 
-  // Producer side (any thread). Returns false when the ring is full.
-  bool TryPush(T value) {
+  // Free slots right now: exact for the only producer, a hint otherwise.
+  size_t FreeSlots() const {
+    const uint64_t tail = tail_.load(std::memory_order_acquire);
+    const uint64_t used = head_.load(std::memory_order_acquire) - tail;
+    return used >= capacity_ ? 0 : capacity_ - used;
+  }
+
+  // Producer side (any thread). Returns false when the ring is full, or
+  // when the push would leave fewer than `headroom` free slots (a producer
+  // keeping room for an entry it must publish later).
+  bool TryPush(T value, size_t headroom = 0) {
     uint64_t head = head_.load(std::memory_order_relaxed);
     while (true) {
       const uint64_t tail = tail_.load(std::memory_order_acquire);
-      if (head - tail >= capacity_) {
+      if (head - tail + 1 + headroom > capacity_) {
         return false;  // Full.
       }
       if (head_.compare_exchange_weak(head, head + 1, std::memory_order_acq_rel,
@@ -94,16 +103,16 @@ class MpscRingBuffer {
   };
 
   // Reserves `count` contiguous slots with one head CAS. All-or-nothing: when
-  // fewer than `count` slots are free nothing is acquired and the ring state
-  // is untouched (the producer falls back to per-op submission).
-  bool TryReserveBatch(size_t count, Batch* out) {
-    if (count == 0 || count > capacity_) {
+  // fewer than `count + headroom` slots are free nothing is acquired and the
+  // ring state is untouched (the producer falls back to per-op submission).
+  bool TryReserveBatch(size_t count, Batch* out, size_t headroom = 0) {
+    if (count == 0 || count + headroom > capacity_) {
       return false;
     }
     uint64_t head = head_.load(std::memory_order_relaxed);
     while (true) {
       const uint64_t tail = tail_.load(std::memory_order_acquire);
-      if (head - tail + count > capacity_) {
+      if (head - tail + count + headroom > capacity_) {
         return false;  // Not enough contiguous room.
       }
       if (head_.compare_exchange_weak(head, head + count, std::memory_order_acq_rel,

@@ -149,8 +149,7 @@ class Client {
 
   // Interval index over the live (non-Done) tasks in `pending`: one dst and
   // one src entry per task. Maintained by the Engine (AcceptTask inserts,
-  // the Done transition erases, RetireDone prunes); only populated when
-  // config.enable_range_index is set.
+  // the Done transition erases, RetireDone prunes).
   RangeIndex range_index;
 
   // Number of live tasks with an unapplied abort request; lets

@@ -57,13 +57,6 @@ struct CopierConfig {
   // takes the two-step path (ablation / bench_ipc_fuse "two-step" mode).
   bool enable_ipc_fuse = true;
 
-  // Multi-window receive ring (DESIGN.md §12): sockets and Binder endpoints
-  // accept N pre-posted landing windows consumed in FIFO order, so pipelined
-  // senders at queue depth > 1 keep hitting a posted window instead of
-  // falling back to the staged skb path between the receiver's re-posts.
-  // Off = one window at a time (the historical single-window behaviour).
-  bool enable_recv_ring = true;
-
   // Proxy-transparent forwarding (DESIGN.md §12): a window posted with a
   // forward rule rewrites the message header in the kernel and dispatches ONE
   // src->destination-window Copy Task whose SgList splices the rewritten
@@ -71,18 +64,6 @@ struct CopierConfig {
   // proxy's address space. Off = the message lands in the proxy's window and
   // the app re-frames it (the historical two-hop pipeline).
   bool enable_forward_fuse = true;
-
-  // Vectored submission: Send/Recv/Binder publish one scatter-gather Copy
-  // Task per syscall (one ring transaction, one barrier check, one doorbell)
-  // instead of one entry per skb. Off = the per-skb submission baseline
-  // (ablation / bench_submit_batch "per-op" mode).
-  bool enable_vectored_submit = true;
-
-  // Pending-range interval index: O(log n + k) dependency resolution,
-  // absorption lookup, promotion and abort matching instead of linear scans
-  // over the pending list. Off = the linear-scan baseline (ablation /
-  // bench_queue_depth "before" mode).
-  bool enable_range_index = true;
 
   // Scheduling (§4.5.3).
   size_t copy_slice_bytes = 256 * kKiB;  // max copy length per scheduling pick

@@ -32,12 +32,6 @@ size_t SrcPrefixLen(const CopyTask& t) {
   return (t.sg != nullptr && t.sg->prefix != nullptr) ? t.sg->prefix->size() : 0;
 }
 
-// True when `dst_side` of `t` is non-contiguous — a scatter-gather segment
-// list, or a prefix-spliced source. Such a side must be walked as pieces.
-bool SideIsPieced(const CopyTask& t, bool dst_side) {
-  return SideIsSg(t, dst_side) || (!dst_side && SrcPrefixLen(t) > 0);
-}
-
 // A contiguous piece of one side of a task: `ref` names the memory at
 // task-local byte `task_offset`, `length` bytes long. A plain side is one
 // piece; the scatter-gather side of a vectored task is one piece per segment.
@@ -123,26 +117,6 @@ MemRef SideRefAt(const CopyTask& t, bool dst_side, size_t offset, size_t* contig
   return {};
 }
 
-// True when any piece of `a_dst` of `a` overlaps any piece of `b_dst` of `b`
-// (the piece-aware generalization of RefsOverlap for whole task sides).
-bool SidesOverlap(const CopyTask& a, bool a_dst, const CopyTask& b, bool b_dst) {
-  if (!SideIsPieced(a, a_dst) && !SideIsPieced(b, b_dst)) {
-    return RefsOverlap(a_dst ? a.dst : a.src, a.length, b_dst ? b.dst : b.src, b.length);
-  }
-  std::vector<RefPiece> ap;
-  std::vector<RefPiece> bp;
-  CollectPieces(a, a_dst, 0, a.length, &ap);
-  CollectPieces(b, b_dst, 0, b.length, &bp);
-  for (const RefPiece& pa : ap) {
-    for (const RefPiece& pb : bp) {
-      if (RefsOverlap(pa.ref, pa.length, pb.ref, pb.length)) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 // Depth of cross-engine settles on this thread (DESIGN.md §10). While > 0,
 // force-landed tasks deliver their completion handlers in per-client task
 // order — a landing that overtakes an unfired predecessor stays done-but-
@@ -152,13 +126,6 @@ thread_local int t_cross_settle = 0;
 thread_local bool t_fire_cascade = false;
 
 }  // namespace
-
-bool RefsOverlap(const MemRef& a, size_t alen, const MemRef& b, size_t blen) {
-  if (a.domain() != b.domain()) {
-    return false;
-  }
-  return RangesOverlap(a.start(), alen, b.start(), blen);
-}
 
 Engine::Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx)
     : config_(config),
@@ -202,7 +169,6 @@ Engine::Stats Engine::stats() const {
   s.last_kfunc_cycles = stats_.last_kfunc_cycles.load(std::memory_order_relaxed);
   s.dep_probes = stats_.dep_probes;
   s.dep_tasks_scanned = stats_.dep_tasks_scanned;
-  s.index_entries = stats_.index_entries;
   s.submit_entries = stats_.submit_entries;
   s.submit_batches = stats_.submit_batches;
   s.serve_cycles = stats_.serve_cycles;
@@ -331,9 +297,7 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   client.pending.push_back(std::move(pending));
   client.pending_count.store(client.pending.size(), std::memory_order_release);
   client.live_gseqs.insert(accepted->gseq);
-  if (config_.enable_range_index) {
-    IndexInsert(client, *accepted);
-  }
+  IndexInsert(client, *accepted);
   if (cross_ != nullptr) {
     if (accepted->shared_visible) {
       cross_->RegisterShared(client, *accepted);
@@ -464,34 +428,13 @@ void Engine::HandleSyncTask(Client& client, const SyncTask& sync) {
       }
     };
     ++stats_.dep_probes;
-    if (config_.enable_range_index) {
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
-      stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-          RangeIndex::Side::kDst, sync.addr.domain(), sync.addr.start(), sync.length,
-          [&](const RangeIndex::Entry& entry) {
-            request_abort(*entry.task);
-            return true;
-          });
-    } else {
-      for (auto& pending : client.pending) {
-        PendingTask& task = *pending;
-        if (task.Done()) {
-          continue;
-        }
-        // Abort matching is the same per-candidate work as a promotion scan;
-        // it must not be free in virtual time.
-        ChargeCtx(ctx_, timing_->absorption_match_cycles);
-        ++stats_.dep_tasks_scanned;
-        std::vector<RefPiece> pieces;
-        CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &pieces);
-        for (const RefPiece& p : pieces) {
-          if (RefsOverlap(p.ref, p.length, sync.addr, sync.length)) {
-            request_abort(task);
-            break;
-          }
-        }
-      }
-    }
+    ChargeCtx(ctx_, timing_->absorption_match_cycles);
+    stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+        RangeIndex::Side::kDst, sync.addr.domain(), sync.addr.start(), sync.length,
+        [&](const RangeIndex::Entry& entry) {
+          request_abort(*entry.task);
+          return true;
+        });
     ApplyDeferredAborts(client);
     return;
   }
@@ -517,74 +460,39 @@ void Engine::PromoteRange(Client& client, const MemRef& addr, size_t length) {
   // oldest first so newer writers land last (ResolveDependencies additionally
   // orders each one's prerequisites).
   ++stats_.dep_probes;
-  if (config_.enable_range_index) {
-    struct Hit {
-      PendingTask* task;
-      uint64_t order;
-      uint64_t start;
-      uint64_t end;
-      size_t task_offset;
-    };
-    std::vector<Hit> hits;
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
-    stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-        RangeIndex::Side::kDst, addr.domain(), addr.start(), length,
-        [&](const RangeIndex::Entry& entry) {
-          hits.push_back({entry.task, entry.order, entry.start, entry.start + entry.length,
-                          entry.task_offset});
-          return true;
-        });
-    std::sort(hits.begin(), hits.end(),
-              [](const Hit& a, const Hit& b) { return a.order < b.order; });
-    for (const Hit& hit : hits) {
-      PendingTask& task = *hit.task;
-      if (task.Done()) {
-        continue;  // executed as a dependency of an older promoted task
-      }
-      const uint64_t ovl_start = std::max(hit.start, addr.start());
-      const uint64_t ovl_end = std::min(hit.end, addr.start() + length);
-      task.promoted = true;
-      const Status status =
-          ExecuteTaskRange(client, task, ovl_start - hit.start + hit.task_offset,
-                           ovl_end - ovl_start, /*depth=*/0, /*must_land=*/true);
-      if (!status.ok() && status.code() != StatusCode::kUnavailable) {
-        // kUnavailable: a cross-engine settle bounced off a held foreign
-        // client. The promotion stays incomplete; the waiter's pump retries.
-        DropTask(client, task, status);
-      }
-    }
-    RetireDone(client);
-    return;
-  }
-  for (auto it = client.pending.begin(); it != client.pending.end(); ++it) {
-    PendingTask& task = **it;
+  struct Hit {
+    PendingTask* task;
+    uint64_t order;
+    uint64_t start;
+    uint64_t end;
+    size_t task_offset;
+  };
+  std::vector<Hit> hits;
+  ChargeCtx(ctx_, timing_->absorption_match_cycles);
+  stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+      RangeIndex::Side::kDst, addr.domain(), addr.start(), length,
+      [&](const RangeIndex::Entry& entry) {
+        hits.push_back({entry.task, entry.order, entry.start, entry.start + entry.length,
+                        entry.task_offset});
+        return true;
+      });
+  std::sort(hits.begin(), hits.end(),
+            [](const Hit& a, const Hit& b) { return a.order < b.order; });
+  for (const Hit& hit : hits) {
+    PendingTask& task = *hit.task;
     if (task.Done()) {
-      continue;
+      continue;  // executed as a dependency of an older promoted task
     }
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
-    ++stats_.dep_tasks_scanned;
-    std::vector<RefPiece> pieces;
-    CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &pieces);
-    for (const RefPiece& p : pieces) {
-      if (task.Done()) {
-        break;
-      }
-      if (p.ref.domain() != addr.domain()) {
-        continue;
-      }
-      const uint64_t ovl_start = std::max(p.ref.start(), addr.start());
-      const uint64_t ovl_end = std::min(p.ref.start() + p.length, addr.start() + length);
-      if (ovl_start >= ovl_end) {
-        continue;
-      }
-      task.promoted = true;
-      const Status status =
-          ExecuteTaskRange(client, task, ovl_start - p.ref.start() + p.task_offset,
-                           ovl_end - ovl_start, /*depth=*/0, /*must_land=*/true);
-      if (!status.ok() && status.code() != StatusCode::kUnavailable) {
-        DropTask(client, task, status);
-        break;
-      }
+    const uint64_t ovl_start = std::max(hit.start, addr.start());
+    const uint64_t ovl_end = std::min(hit.end, addr.start() + length);
+    task.promoted = true;
+    const Status status =
+        ExecuteTaskRange(client, task, ovl_start - hit.start + hit.task_offset,
+                         ovl_end - ovl_start, /*depth=*/0, /*must_land=*/true);
+    if (!status.ok() && status.code() != StatusCode::kUnavailable) {
+      // kUnavailable: a cross-engine settle bounced off a held foreign
+      // client. The promotion stays incomplete; the waiter's pump retries.
+      DropTask(client, task, status);
     }
   }
   RetireDone(client);
@@ -605,103 +513,56 @@ Status Engine::ResolveDependencies(Client& client, PendingTask& task, size_t off
   std::vector<RefPiece> src_windows;
   CollectPieces(task.task, /*dst_side=*/true, offset, length, &dst_windows);
   if (!config_.enable_absorption) {
-    CollectPieces(task.task, /*dst_side=*/false, offset, length, &src_windows);
-  }
-  if (config_.enable_range_index) {
-    // Enumerate only the overlapping entries, then replay them in submission
-    // order (oldest first) with WAW before WAR before RAW per conflicting
-    // task — the order the linear scan visits them in.
-    struct Conflict {
-      PendingTask* task;
-      uint64_t order;
-      uint8_t kind;    // 0 = WAW, 1 = WAR, 2 = RAW
-      uint64_t start;  // overlap, in the conflicting task's domain addresses
-      uint64_t end;
-      uint64_t entry_start;      // the conflicting entry's own start address
-      size_t entry_task_offset;  // task-local byte at entry_start
-    };
-    std::vector<Conflict> conflicts;
-    const auto probe = [&](RangeIndex::Side side, const RefPiece& w, uint8_t kind) {
-      ++stats_.dep_probes;
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
-      stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-          side, w.ref.domain(), w.ref.start(), w.length, [&](const RangeIndex::Entry& entry) {
-            if (entry.order < task.order) {
-              const uint64_t start = std::max(entry.start, w.ref.start());
-              const uint64_t end =
-                  std::min(entry.start + entry.length, w.ref.start() + w.length);
-              conflicts.push_back(
-                  {entry.task, entry.order, kind, start, end, entry.start, entry.task_offset});
-            }
-            return true;
-          });
-    };
-    for (const RefPiece& w : dst_windows) {
-      probe(RangeIndex::Side::kDst, w, 0);  // WAW: earlier writes of these bytes
-      probe(RangeIndex::Side::kSrc, w, 1);  // WAR: earlier reads this overwrites
-    }
-    for (const RefPiece& w : src_windows) {
-      probe(RangeIndex::Side::kDst, w, 2);  // RAW: producers must land first
-    }
-    std::sort(conflicts.begin(), conflicts.end(), [](const Conflict& a, const Conflict& b) {
-      return a.order != b.order ? a.order < b.order : a.kind < b.kind;
-    });
-    for (const Conflict& c : conflicts) {
-      // The entry carries its own (start, task_offset), so the overlap maps to
-      // the conflicting task's local bytes without assuming its side is
-      // contiguous. ExecuteTaskRange skips tasks an earlier conflict already
-      // completed.
-      COPIER_RETURN_IF_ERROR(ExecuteTaskRange(client, *c.task,
-                                              c.start - c.entry_start + c.entry_task_offset,
-                                              c.end - c.start, depth + 1,
-                                              /*must_land=*/true));
-    }
-    return OkStatus();
-  }
-  // Oldest-first so earlier conflicting writes land in submission order.
-  ++stats_.dep_probes;
-  for (auto& other_ptr : client.pending) {
-    PendingTask& other = *other_ptr;
-    if (other.order >= task.order || other.Done()) {
-      continue;
-    }
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
-    ++stats_.dep_tasks_scanned;
-    std::vector<RefPiece> other_dst;
-    std::vector<RefPiece> other_src;
-    CollectPieces(other.task, /*dst_side=*/true, 0, other.task.length, &other_dst);
-    CollectPieces(other.task, /*dst_side=*/false, 0, other.task.length, &other_src);
-    // Executes the other task's local range for every overlap between its
-    // side pieces and this task's windows.
-    const auto run_overlaps = [&](const std::vector<RefPiece>& opieces,
-                                  const std::vector<RefPiece>& windows) -> Status {
-      for (const RefPiece& w : windows) {
-        for (const RefPiece& op : opieces) {
-          if (op.ref.domain() != w.ref.domain()) {
-            continue;
-          }
-          const uint64_t start = std::max(op.ref.start(), w.ref.start());
-          const uint64_t end = std::min(op.ref.start() + op.length, w.ref.start() + w.length);
-          if (start >= end) {
-            continue;
-          }
-          COPIER_RETURN_IF_ERROR(ExecuteTaskRange(client, other,
-                                                  start - op.ref.start() + op.task_offset,
-                                                  end - start, depth + 1,
-                                                  /*must_land=*/true));
-        }
-      }
-      return OkStatus();
-    };
-    // WAW: an earlier task writes bytes this range is about to write.
-    COPIER_RETURN_IF_ERROR(run_overlaps(other_dst, dst_windows));
-    // WAR: an earlier task still needs to *read* bytes this range overwrites.
-    COPIER_RETURN_IF_ERROR(run_overlaps(other_src, dst_windows));
     // RAW: with absorption enabled, ResolveSources reads through the producer
     // (layered absorption); otherwise the producer must execute first.
-    if (!config_.enable_absorption) {
-      COPIER_RETURN_IF_ERROR(run_overlaps(other_dst, src_windows));
-    }
+    CollectPieces(task.task, /*dst_side=*/false, offset, length, &src_windows);
+  }
+  // Enumerate only the overlapping entries, then replay them in submission
+  // order (oldest first, so earlier conflicting writes land first) with WAW
+  // before WAR before RAW per conflicting task.
+  struct Conflict {
+    PendingTask* task;
+    uint64_t order;
+    uint8_t kind;    // 0 = WAW, 1 = WAR, 2 = RAW
+    uint64_t start;  // overlap, in the conflicting task's domain addresses
+    uint64_t end;
+    uint64_t entry_start;      // the conflicting entry's own start address
+    size_t entry_task_offset;  // task-local byte at entry_start
+  };
+  std::vector<Conflict> conflicts;
+  const auto probe = [&](RangeIndex::Side side, const RefPiece& w, uint8_t kind) {
+    ++stats_.dep_probes;
+    ChargeCtx(ctx_, timing_->absorption_match_cycles);
+    stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+        side, w.ref.domain(), w.ref.start(), w.length, [&](const RangeIndex::Entry& entry) {
+          if (entry.order < task.order) {
+            const uint64_t start = std::max(entry.start, w.ref.start());
+            const uint64_t end = std::min(entry.start + entry.length, w.ref.start() + w.length);
+            conflicts.push_back(
+                {entry.task, entry.order, kind, start, end, entry.start, entry.task_offset});
+          }
+          return true;
+        });
+  };
+  for (const RefPiece& w : dst_windows) {
+    probe(RangeIndex::Side::kDst, w, 0);  // WAW: earlier writes of these bytes
+    probe(RangeIndex::Side::kSrc, w, 1);  // WAR: earlier reads this overwrites
+  }
+  for (const RefPiece& w : src_windows) {
+    probe(RangeIndex::Side::kDst, w, 2);  // RAW: producers must land first
+  }
+  std::sort(conflicts.begin(), conflicts.end(), [](const Conflict& a, const Conflict& b) {
+    return a.order != b.order ? a.order < b.order : a.kind < b.kind;
+  });
+  for (const Conflict& c : conflicts) {
+    // The entry carries its own (start, task_offset), so the overlap maps to
+    // the conflicting task's local bytes without assuming its side is
+    // contiguous. ExecuteTaskRange skips tasks an earlier conflict already
+    // completed.
+    COPIER_RETURN_IF_ERROR(ExecuteTaskRange(client, *c.task,
+                                            c.start - c.entry_start + c.entry_task_offset,
+                                            c.end - c.start, depth + 1,
+                                            /*must_land=*/true));
   }
   return OkStatus();
 }
@@ -725,46 +586,22 @@ PendingTask* Engine::FindProducer(Client& client, const PendingTask& task, const
   };
   std::vector<Cand> cands;
   ++stats_.dep_probes;
-  if (config_.enable_range_index) {
-    // One overlap enumeration yields the stabbing answer (latest writer
-    // containing the first byte), the successor bound for the plain prefix,
-    // and the newer-writer clip — the linear version needed a second full
-    // scan for the clip. Index entries only cover live (non-Done) tasks; a
-    // completed producer's bytes have landed, so the plain path reading the
-    // actual source memory is equivalent (and dead-write suppression keeps
-    // those bytes WAW-consistent).
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
-    stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-        RangeIndex::Side::kDst, ref.domain(), first_byte, length,
-        [&](const RangeIndex::Entry& entry) {
-          if (entry.order < task.order) {
-            cands.push_back({entry.task, entry.order, entry.start,
-                             entry.start + entry.length, entry.task_offset});
-          }
-          return true;
-        });
-  } else {
-    for (auto it = client.pending.rbegin(); it != client.pending.rend(); ++it) {
-      PendingTask& other = **it;
-      if (other.order >= task.order || other.aborted) {
-        continue;
-      }
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
-      ++stats_.dep_tasks_scanned;
-      std::vector<RefPiece> dpieces;
-      CollectPieces(other.task, /*dst_side=*/true, 0, other.task.length, &dpieces);
-      for (const RefPiece& p : dpieces) {
-        if (p.ref.domain() != ref.domain()) {
-          continue;
+  // One overlap enumeration yields the stabbing answer (latest writer
+  // containing the first byte), the successor bound for the plain prefix,
+  // and the newer-writer clip. Index entries only cover live (non-Done)
+  // tasks; a completed producer's bytes have landed, so the plain path
+  // reading the actual source memory is equivalent (and dead-write
+  // suppression keeps those bytes WAW-consistent).
+  ChargeCtx(ctx_, timing_->absorption_match_cycles);
+  stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+      RangeIndex::Side::kDst, ref.domain(), first_byte, length,
+      [&](const RangeIndex::Entry& entry) {
+        if (entry.order < task.order) {
+          cands.push_back({entry.task, entry.order, entry.start, entry.start + entry.length,
+                           entry.task_offset});
         }
-        const uint64_t p_start = p.ref.start();
-        const uint64_t p_end = p_start + p.length;
-        if (p_start < first_byte + length && p_end > first_byte) {
-          cands.push_back({&other, other.order, p_start, p_end, p.task_offset});
-        }
-      }
-    }
-  }
+        return true;
+      });
   const Cand* best = nullptr;
   uint64_t nearest_start = UINT64_MAX;
   for (const Cand& cand : cands) {
@@ -824,8 +661,7 @@ void Engine::ResolveSourcesContig(Client& client, PendingTask& task, const MemRe
     size_t ovl_off = 0;
     size_t ovl_len = 0;
     size_t producer_base = 0;
-    // FindProducer charges the probe (per index lookup, or per candidate in
-    // the linear baseline).
+    // FindProducer charges the probe.
     PendingTask* producer = FindProducer(client, task, src.Offset(pos), length - pos, &ovl_off,
                                          &ovl_len, &producer_base);
     if (producer == nullptr) {
@@ -1353,36 +1189,23 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
           }
         }
       };
-      if (config_.enable_range_index) {
-        // Live later writers whose dst overlaps this piece. Done tasks
-        // already left the index; their full write is covered by
-        // completed_writes above. An SG writer has one entry per segment —
-        // dedup so suppress_from walks it once.
-        std::vector<PendingTask*> writers;
-        ++stats_.dep_probes;
-        ChargeCtx(ctx_, timing_->absorption_match_cycles);
-        stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-            RangeIndex::Side::kDst, ddomain, dbase, dp.length,
-            [&](const RangeIndex::Entry& entry) {
-              if (entry.order > task.order && !entry.task->aborted &&
-                  std::find(writers.begin(), writers.end(), entry.task) == writers.end()) {
-                writers.push_back(entry.task);
-              }
-              return true;
-            });
-        for (PendingTask* other : writers) {
-          suppress_from(*other);
-        }
-      } else {
-        for (const auto& other_ptr : client.pending) {
-          PendingTask& other = *other_ptr;
-          ChargeCtx(ctx_, timing_->absorption_match_cycles);
-          ++stats_.dep_tasks_scanned;
-          if (other.order <= task.order || other.aborted) {
-            continue;
-          }
-          suppress_from(other);
-        }
+      // Live later writers whose dst overlaps this piece. Done tasks already
+      // left the index; their full write is covered by completed_writes
+      // above. An SG writer has one entry per segment — dedup so
+      // suppress_from walks it once.
+      std::vector<PendingTask*> writers;
+      ++stats_.dep_probes;
+      ChargeCtx(ctx_, timing_->absorption_match_cycles);
+      stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+          RangeIndex::Side::kDst, ddomain, dbase, dp.length, [&](const RangeIndex::Entry& entry) {
+            if (entry.order > task.order && !entry.task->aborted &&
+                std::find(writers.begin(), writers.end(), entry.task) == writers.end()) {
+              writers.push_back(entry.task);
+            }
+            return true;
+          });
+      for (PendingTask* other : writers) {
+        suppress_from(*other);
       }
     }
 
@@ -1650,40 +1473,17 @@ Status Engine::SettleSharedRange(Client& client, uint64_t domain, uint64_t start
     }
     hits.push_back({task, local_off, local_len, task->gseq});
   };
-  if (config_.enable_range_index) {
-    for (const RangeIndex::Side side : {RangeIndex::Side::kDst, RangeIndex::Side::kSrc}) {
-      client.range_index.ForEachOverlap(
-          side, domain, start, length, [&](const RangeIndex::Entry& entry) {
-            const uint64_t lo = std::max(start, entry.start);
-            const uint64_t hi = std::min(start + length, entry.start + entry.length);
-            if (lo < hi) {
-              consider(entry.task, entry.task_offset + (lo - entry.start),
-                       static_cast<size_t>(hi - lo));
-            }
-            return true;
-          });
-    }
-  } else {
-    for (auto& pending : client.pending) {
-      PendingTask& task = *pending;
-      if (task.Done() || task.gseq >= gseq_bound) {
-        continue;
-      }
-      std::vector<RefPiece> pieces;
-      CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &pieces);
-      CollectPieces(task.task, /*dst_side=*/false, 0, task.task.length, &pieces);
-      for (const RefPiece& piece : pieces) {
-        if (piece.ref.domain() != domain) {
-          continue;
-        }
-        const uint64_t lo = std::max(start, piece.ref.start());
-        const uint64_t hi = std::min(start + length, piece.ref.start() + piece.length);
-        if (lo < hi) {
-          consider(&task, piece.task_offset + (lo - piece.ref.start()),
-                   static_cast<size_t>(hi - lo));
-        }
-      }
-    }
+  for (const RangeIndex::Side side : {RangeIndex::Side::kDst, RangeIndex::Side::kSrc}) {
+    client.range_index.ForEachOverlap(
+        side, domain, start, length, [&](const RangeIndex::Entry& entry) {
+          const uint64_t lo = std::max(start, entry.start);
+          const uint64_t hi = std::min(start + length, entry.start + entry.length);
+          if (lo < hi) {
+            consider(entry.task, entry.task_offset + (lo - entry.start),
+                     static_cast<size_t>(hi - lo));
+          }
+          return true;
+        });
   }
   // gseq order is the cross-client conflict order (fixed at submission):
   // settling in it reproduces exactly what a single engine executing in
@@ -1724,37 +1524,25 @@ void Engine::ApplyDeferredAborts(Client& client) {
     if (!task.abort_requested || task.Done()) {
       continue;
     }
+    // A dependent is a live, later-ordered reader of this task's dst
+    // (probed per contiguous destination piece).
     bool has_dependent = false;
-    if (config_.enable_range_index) {
-      // A dependent is a live, later-ordered reader of this task's dst
-      // (probed per contiguous destination piece).
-      std::vector<RefPiece> dpieces;
-      CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &dpieces);
-      for (const RefPiece& dp : dpieces) {
-        ++stats_.dep_probes;
-        ChargeCtx(ctx_, timing_->absorption_match_cycles);
-        stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-            RangeIndex::Side::kSrc, dp.ref.domain(), dp.ref.start(), dp.length,
-            [&](const RangeIndex::Entry& entry) {
-              if (entry.order > task.order && !entry.task->Done()) {
-                has_dependent = true;
-                return false;
-              }
-              return true;
-            });
-        if (has_dependent) {
-          break;
-        }
-      }
-    } else {
-      for (const auto& other : client.pending) {
-        ChargeCtx(ctx_, timing_->absorption_match_cycles);
-        ++stats_.dep_tasks_scanned;
-        if (other->order > task.order && !other->Done() &&
-            SidesOverlap(task.task, /*a_dst=*/true, other->task, /*b_dst=*/false)) {
-          has_dependent = true;
-          break;
-        }
+    std::vector<RefPiece> dpieces;
+    CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &dpieces);
+    for (const RefPiece& dp : dpieces) {
+      ++stats_.dep_probes;
+      ChargeCtx(ctx_, timing_->absorption_match_cycles);
+      stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+          RangeIndex::Side::kSrc, dp.ref.domain(), dp.ref.start(), dp.length,
+          [&](const RangeIndex::Entry& entry) {
+            if (entry.order > task.order && !entry.task->Done()) {
+              has_dependent = true;
+              return false;
+            }
+            return true;
+          });
+      if (has_dependent) {
+        break;
       }
     }
     if (has_dependent) {
@@ -2195,7 +1983,6 @@ void Engine::IndexInsert(Client& client, PendingTask& task) {
                               task.order, &task, p.task_offset);
   }
   task.in_range_index = true;
-  stats_.index_entries = client.range_index.size();
 }
 
 void Engine::IndexErase(Client& client, PendingTask& task) {
@@ -2215,7 +2002,6 @@ void Engine::IndexErase(Client& client, PendingTask& task) {
                              task.order);
   }
   task.in_range_index = false;
-  stats_.index_entries = client.range_index.size();
 }
 
 void Engine::OnTaskDone(Client& client, PendingTask& task) {
@@ -2244,85 +2030,58 @@ void Engine::OnTaskDone(Client& client, PendingTask& task) {
 
 bool Engine::HasAnyConflict(Client& client, const PendingTask& self) {
   const CopyTask& b = self.task;
-  if (config_.enable_range_index) {
-    bool conflict = false;
-    const auto probe = [&](RangeIndex::Side side, const RefPiece& p) {
-      if (conflict) {
-        return;
-      }
-      ++stats_.dep_probes;
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
-      stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-          side, p.ref.domain(), p.ref.start(), p.length, [&](const RangeIndex::Entry& entry) {
-            if (entry.task != &self && !entry.task->Done()) {
-              conflict = true;
-              return false;
-            }
-            return true;
-          });
-    };
-    std::vector<RefPiece> pieces;
-    CollectPieces(b, /*dst_side=*/true, 0, b.length, &pieces);
-    for (const RefPiece& p : pieces) {
-      probe(RangeIndex::Side::kDst, p);  // WAW: another writer of our dst
-      probe(RangeIndex::Side::kSrc, p);  // WAR: a reader of our dst
+  bool conflict = false;
+  const auto probe = [&](RangeIndex::Side side, const RefPiece& p) {
+    if (conflict) {
+      return;
     }
-    pieces.clear();
-    CollectPieces(b, /*dst_side=*/false, 0, b.length, &pieces);
-    for (const RefPiece& p : pieces) {
-      probe(RangeIndex::Side::kDst, p);  // RAW: a writer of our src
-    }
-    return conflict;
-  }
-  for (const auto& other : client.pending) {
+    ++stats_.dep_probes;
     ChargeCtx(ctx_, timing_->absorption_match_cycles);
-    ++stats_.dep_tasks_scanned;
-    if (other.get() == &self || other->Done()) {
-      continue;
-    }
-    const CopyTask& a = other->task;
-    if (SidesOverlap(a, /*a_dst=*/true, b, /*b_dst=*/true) ||
-        SidesOverlap(a, /*a_dst=*/true, b, /*b_dst=*/false) ||
-        SidesOverlap(a, /*a_dst=*/false, b, /*b_dst=*/true)) {
-      return true;
-    }
+    stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+        side, p.ref.domain(), p.ref.start(), p.length, [&](const RangeIndex::Entry& entry) {
+          if (entry.task != &self && !entry.task->Done()) {
+            conflict = true;
+            return false;
+          }
+          return true;
+        });
+  };
+  std::vector<RefPiece> pieces;
+  CollectPieces(b, /*dst_side=*/true, 0, b.length, &pieces);
+  for (const RefPiece& p : pieces) {
+    probe(RangeIndex::Side::kDst, p);  // WAW: another writer of our dst
+    probe(RangeIndex::Side::kSrc, p);  // WAR: a reader of our dst
   }
-  return false;
+  pieces.clear();
+  CollectPieces(b, /*dst_side=*/false, 0, b.length, &pieces);
+  for (const RefPiece& p : pieces) {
+    probe(RangeIndex::Side::kDst, p);  // RAW: a writer of our src
+  }
+  return conflict;
 }
 
 bool Engine::HasEarlierLiveWriter(Client& client, const PendingTask& reader) {
   const CopyTask& b = reader.task;
-  if (config_.enable_range_index) {
-    bool found = false;
-    std::vector<RefPiece> pieces;
-    CollectPieces(b, /*dst_side=*/false, 0, b.length, &pieces);
-    for (const RefPiece& p : pieces) {
-      ++stats_.dep_probes;
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
-      stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
-          RangeIndex::Side::kDst, p.ref.domain(), p.ref.start(), p.length,
-          [&](const RangeIndex::Entry& entry) {
-            if (entry.order < reader.order && !entry.task->Done()) {
-              found = true;
-              return false;
-            }
-            return true;
-          });
-      if (found) {
-        break;
-      }
-    }
-    return found;
-  }
-  for (const auto& other : client.pending) {
+  bool found = false;
+  std::vector<RefPiece> pieces;
+  CollectPieces(b, /*dst_side=*/false, 0, b.length, &pieces);
+  for (const RefPiece& p : pieces) {
+    ++stats_.dep_probes;
     ChargeCtx(ctx_, timing_->absorption_match_cycles);
-    ++stats_.dep_tasks_scanned;
-    if (other->order < reader.order && !other->Done() &&
-        SidesOverlap(other->task, /*a_dst=*/true, b, /*b_dst=*/false)) {
-      return true;
+    stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
+        RangeIndex::Side::kDst, p.ref.domain(), p.ref.start(), p.length,
+        [&](const RangeIndex::Entry& entry) {
+          if (entry.order < reader.order && !entry.task->Done()) {
+            found = true;
+            return false;
+          }
+          return true;
+        });
+    if (found) {
+      break;
     }
   }
-  return false;
+  return found;
 }
 
 // ---------------------------------------------------------------------------

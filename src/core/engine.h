@@ -164,11 +164,10 @@ class Engine {
     // submit time for per-request copy-use *window* attribution — first
     // submit → last kfunc — alongside end-to-end latency.
     uint64_t last_kfunc_cycles = 0;
-    // Coordination-lookup observability (range index vs linear baseline).
+    // Coordination-lookup observability (pending-range index probes).
     uint64_t dep_probes = 0;         // dependency/absorption/abort lookups issued
     uint64_t dep_tasks_scanned = 0;  // candidate tasks examined across all probes
-    uint64_t index_entries = 0;      // live index entries (gauge, last-touched client)
-    // Submission-path observability (vectored submission vs per-op baseline).
+    // Submission-path observability (entries, scatter-gather batches, doorbells).
     uint64_t submit_entries = 0;   // copy-queue Copy entries ingested
     uint64_t submit_batches = 0;   // of those, scatter-gather (vectored) tasks
     uint64_t notify_calls = 0;     // NotifyRunnable doorbells (service-wide;
@@ -459,7 +458,6 @@ class Engine {
     RelaxedCounter fused_ipc_bytes;
     RelaxedCounter dep_probes;
     RelaxedCounter dep_tasks_scanned;
-    RelaxedCounter index_entries;
     RelaxedCounter submit_entries;
     RelaxedCounter submit_batches;
     RelaxedCounter serve_cycles;

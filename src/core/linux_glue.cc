@@ -9,6 +9,20 @@
 
 namespace copier::core {
 
+namespace {
+
+// An open syscall bracket must be able to publish its exit barrier
+// (OnTrapExit), so every k-mode push made while the process is inside a
+// syscall leaves one ring slot free for it. A push that cannot takes the
+// ring-full fallback instead.
+size_t ExitBarrierHeadroom(const Client& client) { return client.ksyscall.in_syscall ? 1 : 0; }
+
+// Serve passes (manual mode) or doorbell-and-yield rounds (threaded mode) a
+// submitter waits for ring room before it copies synchronously.
+constexpr int kRoomAttempts = 4096;
+
+}  // namespace
+
 Status WaitDescriptor(const Descriptor& descriptor, size_t offset, size_t length,
                       ExecContext* ctx, const std::function<void()>& pump) {
   uint64_t spins = 0;
@@ -79,8 +93,9 @@ void CopierLinux::OnTrapExit(simos::Process& proc, ExecContext* ctx) {
   if (emit_exit) {
     CopyQueueEntry exit_barrier;
     exit_barrier.kind = CopyQueueEntry::Kind::kBarrierExit;
-    // The exit barrier closes the syscall's k-mode bracket (§4.2.1); the ring
-    // is sized so this cannot fail while the bracket is open.
+    // The exit barrier closes the syscall's k-mode bracket (§4.2.1). Every
+    // push inside the bracket kept a slot free for it (ExitBarrierHeadroom),
+    // so this cannot fail while the bracket is open.
     COPIER_CHECK(client->default_pair().kernel.copy_q.TryPush(std::move(exit_barrier)));
   }
   (void)ctx;
@@ -91,6 +106,27 @@ bool CopierLinux::BracketOpen(simos::Process& proc) {
   return client != nullptr && client->ksyscall.in_syscall && client->ksyscall.barrier_submitted;
 }
 
+void CopierLinux::AwaitKernelRoom(Client& client, size_t slots, ExecContext* ctx) {
+  const MpscRingBuffer<CopyQueueEntry>& ring = client.default_pair().kernel.copy_q;
+  const size_t needed = slots + ExitBarrierHeadroom(client);
+  if (needed > ring.capacity()) {
+    return;  // can never fit: the caller takes its fallback
+  }
+  for (int attempt = 0; attempt < kRoomAttempts && ring.FreeSlots() < needed; ++attempt) {
+    if (service_->mode() == CopierService::Mode::kManual) {
+      // The engine ingests (and runs) the queued entries in order; the
+      // submitter waits for it, like SyncKernel.
+      service_->Serve(client);
+      if (ctx != nullptr) {
+        ctx->WaitUntil(service_->engine_ctx(service_->EngineIndexFor(client)).now());
+      }
+    } else {
+      service_->NotifyRunnable(client);
+      std::this_thread::yield();
+    }
+  }
+}
+
 bool CopierLinux::EnsureEnterBarrier(Client& client, QueuePair& pair) {
   if (!client.ksyscall.in_syscall || client.ksyscall.barrier_submitted) {
     return true;
@@ -98,7 +134,7 @@ bool CopierLinux::EnsureEnterBarrier(Client& client, QueuePair& pair) {
   CopyQueueEntry barrier;
   barrier.kind = CopyQueueEntry::Kind::kBarrierEnter;
   barrier.user_queue_position = pair.user.copy_q.HeadPosition();
-  if (!pair.kernel.copy_q.TryPush(std::move(barrier))) {
+  if (!pair.kernel.copy_q.TryPush(std::move(barrier), ExitBarrierHeadroom(client))) {
     return false;  // ring full
   }
   client.ksyscall.barrier_submitted = true;
@@ -115,10 +151,12 @@ Status CopierLinux::Copy(const simos::UserCopyOp& op) {
 
   // Lazily submit the enter barrier before the syscall's first Copy Task,
   // recording the current u-mode queue position (§4.2.1).
+  AwaitKernelRoom(*client, 1, op.ctx);
   if (!EnsureEnterBarrier(*client, pair)) {
     return fallback_.Copy(op);  // ring full: fall back to sync copy
   }
 
+  AwaitKernelRoom(*client, 1, op.ctx);
   CopyQueueEntry entry;
   entry.kind = CopyQueueEntry::Kind::kCopy;
   CopyTask& task = entry.task;
@@ -141,7 +179,7 @@ Status CopierLinux::Copy(const simos::UserCopyOp& op) {
 
   ChargeCtx(op.ctx, service_->timing().task_submit_cycles);
   const uint64_t gseq = task.gseq;
-  if (!pair.kernel.copy_q.TryPush(std::move(entry))) {
+  if (!pair.kernel.copy_q.TryPush(std::move(entry), ExitBarrierHeadroom(*client))) {
     // Stamped but never queued: retire the sequence before falling back.
     service_->RetireGlobalSeq(gseq);
     return fallback_.Copy(op);  // ring full: synchronous fallback (§4.6)
@@ -194,9 +232,8 @@ Status CopierLinux::CopyV(const simos::UserCopyVecOp& op, size_t* segs_submitted
   simos::Process* submitter = op.submit_proc != nullptr ? op.submit_proc : op.proc;
   const bool cross_client = op.submit_proc != nullptr && op.submit_proc != op.proc;
   Client* client = submitter != nullptr ? ClientFor(*submitter) : nullptr;
-  if (client == nullptr || !service_->config().enable_vectored_submit) {
-    // Per-segment path: unattached process (stock kernel behaviour) or the
-    // per-op ablation baseline.
+  if (client == nullptr) {
+    // Per-segment path: unattached process (stock kernel behaviour).
     if (cross_client) {
       return CopyVSync(op, segs_submitted);
     }
@@ -216,10 +253,13 @@ Status CopierLinux::CopyV(const simos::UserCopyVecOp& op, size_t* segs_submitted
   // preserved — the barrier occupies the earlier slot).
   const bool need_barrier =
       client->ksyscall.in_syscall && !client->ksyscall.barrier_submitted;
+  AwaitKernelRoom(*client, need_barrier ? 2 : 1, op.ctx);
   MpscRingBuffer<CopyQueueEntry>::Batch batch;
-  if (!pair.kernel.copy_q.TryReserveBatch(need_barrier ? 2 : 1, &batch)) {
-    // Ring full: per-segment fallback (which itself falls back to the
-    // synchronous copy per segment when the ring stays full).
+  if (!pair.kernel.copy_q.TryReserveBatch(need_barrier ? 2 : 1, &batch,
+                                          ExitBarrierHeadroom(*client))) {
+    // Ring too small for the batch, or still full after waiting: per-segment
+    // fallback (which itself falls back to the synchronous copy per segment
+    // when the ring stays full).
     if (cross_client) {
       return CopyVSync(op, segs_submitted);
     }
@@ -274,8 +314,6 @@ Status CopierLinux::CopyV(const simos::UserCopyVecOp& op, size_t* segs_submitted
 
 bool CopierLinux::SupportsFusedIpc() const { return service_->config().enable_ipc_fuse; }
 
-bool CopierLinux::SupportsRecvRing() const { return service_->config().enable_recv_ring; }
-
 bool CopierLinux::SupportsForwardFuse() const {
   return service_->config().enable_ipc_fuse && service_->config().enable_forward_fuse;
 }
@@ -329,7 +367,8 @@ Status CopierLinux::CopyFused(const simos::FusedCopyOp& op) {
   const bool need_barrier =
       client->ksyscall.in_syscall && !client->ksyscall.barrier_submitted;
   MpscRingBuffer<CopyQueueEntry>::Batch batch;
-  if (!pair.kernel.copy_q.TryReserveBatch(need_barrier ? 2 : 1, &batch)) {
+  if (!pair.kernel.copy_q.TryReserveBatch(need_barrier ? 2 : 1, &batch,
+                                          ExitBarrierHeadroom(*client))) {
     // No side effects yet: the kernel falls back to the two-step posted path.
     return ResourceExhausted("k-mode ring full for fused transfer");
   }
@@ -479,7 +518,8 @@ void CopierLinux::AccelerateCow(simos::Process& proc, double handler_fraction) {
       entry.task.gseq = service->AllocateGlobalSeq();
       ChargeCtx(ctx, timing->task_submit_cycles);
       const uint64_t gseq = entry.task.gseq;
-      if (!client->default_pair().kernel.copy_q.TryPush(std::move(entry))) {
+      if (!client->default_pair().kernel.copy_q.TryPush(std::move(entry),
+                                                        ExitBarrierHeadroom(*client))) {
         // Ring full: plain synchronous copy of the whole page block. The
         // stamped sequence dies with the dropped entry.
         service->RetireGlobalSeq(gseq);

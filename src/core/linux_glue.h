@@ -54,9 +54,8 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   // same order as the two-step path's per-skb handlers. ResourceExhausted
   // (ring full) leaves no side effects; the kernel falls back to two-step.
   bool SupportsFusedIpc() const override;
-  // Multi-window receive rings and proxy-transparent forwarding (DESIGN.md
-  // §12) are independently ablatable on top of the fused path.
-  bool SupportsRecvRing() const override;
+  // Proxy-transparent forwarding (DESIGN.md §12) is ablatable on top of the
+  // fused path.
   bool SupportsForwardFuse() const override;
   Status CopyFused(const simos::FusedCopyOp& op) override;
   void NoteFuseEvent(simos::FuseEvent event) override;
@@ -87,6 +86,11 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   // Lazily submits the syscall's enter barrier before its first Copy Task
   // (§4.2.1). Returns false when the k-mode ring is full.
   bool EnsureEnterBarrier(Client& client, QueuePair& pair);
+  // Ring-full backpressure: waits (bounded) until the client's k-mode ring
+  // can take `slots` more entries besides the exit-barrier slot. Copying
+  // synchronously instead would land the bytes, and fire their handlers,
+  // ahead of the client's queued tasks.
+  void AwaitKernelRoom(Client& client, size_t slots, ExecContext* ctx);
   // Synchronous degrade for cross-client op-lists (submit_proc != proc): the
   // per-segment queue fallback would submit on the receiver's client from the
   // sender's thread, racing the receiver's syscall bracket — copy inline and

@@ -807,7 +807,6 @@ Engine::Stats CopierService::TotalStats() const {
     total.remap_cow_breaks += s.remap_cow_breaks;
     total.dep_probes += s.dep_probes;
     total.dep_tasks_scanned += s.dep_tasks_scanned;
-    total.index_entries += s.index_entries;
     total.submit_entries += s.submit_entries;
     total.submit_batches += s.submit_batches;
     total.serve_cycles += s.serve_cycles;

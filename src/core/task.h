@@ -54,9 +54,6 @@ struct MemRef {
   }
 };
 
-// True when [a, a+alen) and [b, b+blen) name overlapping memory.
-bool RefsOverlap(const MemRef& a, size_t alen, const MemRef& b, size_t blen);
-
 enum class TaskType : uint8_t {
   kNormal = 0,
   kLazy = 1,  // lowest priority; usually a mediator for copy absorption (§4.4)

@@ -14,10 +14,12 @@ StatusOr<uint64_t> DmaEngine::SubmitBatch(std::span<const DmaDescriptor> batch, 
   }
 
   // Move the data now (see header: clients are gated by descriptor bitmaps,
-  // so early data is unobservable).
+  // so early data is unobservable). A self-overlapping client copy yields a
+  // descriptor whose src and dst overlap, so bytes move with memmove
+  // semantics.
   Cycles transfer = 0;
   for (const DmaDescriptor& d : batch) {
-    std::memcpy(d.dst, d.src, d.length);
+    std::memmove(d.dst, d.src, d.length);
     transfer += model_->DmaTransferCycles(d.length);
     total_bytes_ += d.length;
   }

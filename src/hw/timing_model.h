@@ -97,9 +97,8 @@ struct TimingModel {
   // remove (the sharded pick charges schedule_pick_cycles alone).
   Cycles schedule_scan_cycles_per_client = 4;
   Cycles barrier_process_cycles = 20;
-  // Dependency/absorption matching: charged once per interval-index probe
-  // when the range index is enabled, or once per pending candidate examined
-  // in the linear-scan baseline (enable_range_index = false).
+  // Dependency/absorption matching: charged once per pending-range index
+  // probe.
   Cycles absorption_match_cycles = 12;
 
   // Dispatcher policy constants (§4.3).

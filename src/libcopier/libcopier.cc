@@ -217,10 +217,6 @@ void CopierLib::copier_submitv(const std::vector<CopyVecEntry>& entries, ExecCon
       }
     }
   };
-  if (!service_->config().enable_vectored_submit) {
-    per_entry();  // ablation baseline: one task, one doorbell per entry
-    return;
-  }
   simos::AddressSpace* space = client_->space();
   COPIER_CHECK(space != nullptr) << "CopierLib requires a process-backed client";
 

@@ -109,8 +109,7 @@ class CopierLib {
   // copier_submitv(): vectored submission — N independent copies published
   // with ONE ring transaction and ONE doorbell carrying the accumulated
   // length. Each entry gets a pooled descriptor registered for csync. Falls
-  // back to per-entry _amemcpy when vectored submission is disabled
-  // (ablation) or the batch reservation fails.
+  // back to per-entry _amemcpy when the batch reservation fails (ring full).
   void copier_submitv(const std::vector<CopyVecEntry>& entries, ExecContext* ctx = nullptr,
                       int fd = 0);
 

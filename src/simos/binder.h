@@ -60,9 +60,8 @@ class BinderDriver : public ForwardEndpoint {
   // [va, va+length) instead of bouncing through a mapped kernel buffer.
   // `descriptor` is the server's libCopier descriptor covering the window —
   // it replaces Transact's for the posted transaction. Windows form a FIFO
-  // ring on a ring-capable backend (SupportsRecvRing); transactions consume
-  // the front window, so pipelined clients stay fused at depth > 1. One
-  // window at a time otherwise.
+  // ring; transactions consume the front window, so pipelined clients stay
+  // fused at depth > 1.
   Status PostReceive(Process& server, uint64_t va, size_t length, void* descriptor,
                      ExecContext* ctx);
   // Posts a whole ring of landing windows in ONE trap (per-window ATCache

@@ -164,12 +164,9 @@ class KernelCopyBackend {
     (void)op;
     return Unimplemented("backend cannot fuse IPC transfers");
   }
-  // Multi-window receive ring (DESIGN.md §12): whether endpoints may hold
-  // more than one posted window at a time. A kernel capability rather than a
-  // fuse capability — ring windows work with the two-step path too — but the
-  // Copier backend gates it on the enable_recv_ring ablation flag. The
-  // synchronous baseline keeps rings on so ring semantics do not depend on
-  // which backend is installed.
+  // Multi-window receive rings (DESIGN.md §12) are a kernel capability on
+  // every backend, so this is always true and the kernel does not ask.
+  // Backend interposers that forward it still compile against it.
   virtual bool SupportsRecvRing() const { return true; }
   // Proxy-transparent forwarding (DESIGN.md §12): whether a forward-posted
   // window may dispatch a prefix-spliced src→destination-window CopyFused.

@@ -514,11 +514,7 @@ StatusOr<size_t> SimKernel::PostRecv(Process& proc, SimSocket* sock, uint64_t va
   window->descriptor = opts.descriptor;
   PostedWindow* win = window.get();
   const bool behind = sock->HasPostedWindow();
-  Status status = sock->PostWindow(std::move(window), backend_->SupportsRecvRing());
-  if (!status.ok()) {
-    TrapExit(proc, ctx);
-    return status;
-  }
+  sock->PostWindow(std::move(window));
   if (behind) {
     backend_->NoteFuseEvent(FuseEvent::kRingWindowPosted);
   }
@@ -527,7 +523,7 @@ StatusOr<size_t> SimKernel::PostRecv(Process& proc, SimSocket* sock, uint64_t va
   backend_->RegisterWindow(&proc, va, length, ctx);
   // Staged-then-fused: bytes already queued were sent before the window
   // existed — drain them into the ring now so stream order is preserved.
-  status = DrainRxIntoRing(proc, sock, ctx);
+  const Status status = DrainRxIntoRing(proc, sock, ctx);
   TrapExit(proc, ctx);
   if (!status.ok()) {
     return status;
@@ -546,9 +542,6 @@ StatusOr<size_t> SimKernel::PostRecvRing(Process& proc, SimSocket* sock,
       return InvalidArgument("zero-length receive window");
     }
   }
-  if (!backend_->SupportsRecvRing() && (windows.size() > 1 || sock->HasPostedWindow())) {
-    return FailedPrecondition("receive ring not supported (one window at a time)");
-  }
   TrapEnter(proc, ctx);
   std::vector<PostedWindow*> posted;
   posted.reserve(windows.size());
@@ -560,11 +553,7 @@ StatusOr<size_t> SimKernel::PostRecvRing(Process& proc, SimSocket* sock,
     window->descriptor = spec.descriptor;
     PostedWindow* win = window.get();
     const bool behind = sock->HasPostedWindow();
-    Status status = sock->PostWindow(std::move(window), backend_->SupportsRecvRing());
-    if (!status.ok()) {
-      TrapExit(proc, ctx);
-      return status;
-    }
+    sock->PostWindow(std::move(window));
     if (behind) {
       backend_->NoteFuseEvent(FuseEvent::kRingWindowPosted);
     }

@@ -67,11 +67,14 @@ TEST(MemRefTest, DomainsAndOverlap) {
   uint8_t kernel_buf[64];
   const MemRef k = MemRef::Kernel(kernel_buf);
 
-  // Same numeric VA in different spaces never overlaps.
-  EXPECT_FALSE(RefsOverlap(ua, 64, ub, 64));
-  EXPECT_TRUE(RefsOverlap(ua, 64, MemRef::User(&space_a, 0x1020), 64));
-  EXPECT_FALSE(RefsOverlap(ua, 64, k, 64));
-  EXPECT_TRUE(RefsOverlap(k, 64, MemRef::Kernel(kernel_buf + 32), 8));
+  // Same numeric VA in different spaces lives in different domains, so
+  // overlap probes keyed by (domain, start) never match across spaces.
+  EXPECT_NE(ua.domain(), ub.domain());
+  EXPECT_EQ(ua.domain(), MemRef::User(&space_a, 0x1020).domain());
+  EXPECT_NE(ua.domain(), k.domain());
+  EXPECT_EQ(k.domain(), MemRef::Kernel(kernel_buf + 32).domain());
+  EXPECT_EQ(ua.start(), 0x1000u);
+  EXPECT_EQ(k.start(), reinterpret_cast<uint64_t>(kernel_buf));
 
   EXPECT_EQ(ua.Offset(0x20).va, 0x1020u);
   EXPECT_EQ(k.Offset(8).host, kernel_buf + 8);

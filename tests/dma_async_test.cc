@@ -205,8 +205,7 @@ struct DiffResult {
 // scratch region (abort outcomes are timing-dependent by design, so their
 // destinations stay out of the comparison), csync barriers that force drains,
 // and socket traffic whose received byte order *is* the kfunc firing order.
-DiffResult RunDifferentialWorkload(core::CopierConfig config, bool vectored, uint64_t seed) {
-  config.enable_vectored_submit = vectored;
+DiffResult RunDifferentialWorkload(const core::CopierConfig& config, uint64_t seed) {
   CopierStack stack(config);
   const size_t kArena = 256 * kKiB;
   const uint64_t arena = stack.Map(kArena, "arena");
@@ -309,10 +308,7 @@ DiffResult RunDifferentialWorkload(core::CopierConfig config, bool vectored, uin
   return result;
 }
 
-class AsyncDmaDifferential : public ::testing::TestWithParam<bool> {};
-
-TEST_P(AsyncDmaDifferential, MatchesBlockingSingleChannelBitForBit) {
-  const bool vectored = GetParam();
+TEST(AsyncDmaDifferential, MatchesBlockingSingleChannelBitForBit) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     core::CopierConfig async_cfg;
     async_cfg.dma_channel_count = 4;
@@ -321,8 +317,8 @@ TEST_P(AsyncDmaDifferential, MatchesBlockingSingleChannelBitForBit) {
     blocking_cfg.dma_channel_count = 1;
     blocking_cfg.enable_async_dma_completion = false;
 
-    const DiffResult a = RunDifferentialWorkload(async_cfg, vectored, seed);
-    const DiffResult b = RunDifferentialWorkload(blocking_cfg, vectored, seed);
+    const DiffResult a = RunDifferentialWorkload(async_cfg, seed);
+    const DiffResult b = RunDifferentialWorkload(blocking_cfg, seed);
     EXPECT_EQ(a.image, b.image) << "arena image diverged, seed " << seed;
     // Socket bytes arrive in per-skb handler order: identical streams prove
     // the async engine fires completion kfuncs in the blocking engine's
@@ -331,11 +327,6 @@ TEST_P(AsyncDmaDifferential, MatchesBlockingSingleChannelBitForBit) {
     EXPECT_EQ(a.kfuncs_run, b.kfuncs_run) << "handler counts diverged, seed " << seed;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(VectoredAndPerOp, AsyncDmaDifferential, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "vectored" : "per_op";
-                         });
 
 // ---------------------------------------------------------------------------
 // Threaded mode: the reaper, the in-flight mirror and the re-queue counter

@@ -79,6 +79,28 @@ TEST(DmaEngine, MovesDataAndModelsCompletion) {
   EXPECT_EQ(dma.in_flight(), 0u);
 }
 
+TEST(DmaEngine, OverlappingDescriptorMovesLikeMemmove) {
+  const TimingModel& m = TimingModel::Default();
+  DmaEngine dma(&m);
+  constexpr size_t kLen = 8 * kKiB;
+  constexpr size_t kShift = 1000;  // src and dst overlap by kLen - kShift
+  std::vector<uint8_t> buf(kLen + kShift);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 7 + i / 251);
+  }
+  for (const bool forward : {true, false}) {
+    std::vector<uint8_t> expect = buf;
+    std::vector<uint8_t> got = buf;
+    uint8_t* dst = got.data() + (forward ? kShift : 0);
+    const uint8_t* src = got.data() + (forward ? 0 : kShift);
+    std::memmove(expect.data() + (forward ? kShift : 0), expect.data() + (forward ? 0 : kShift),
+                 kLen);
+    DmaDescriptor desc{dst, src, kLen};
+    ASSERT_TRUE(dma.SubmitBatch({&desc, 1}, 0).ok());
+    EXPECT_EQ(got, expect) << (forward ? "dst above src" : "dst below src");
+  }
+}
+
 TEST(DmaEngine, SerialChannelQueues) {
   const TimingModel& m = TimingModel::Default();
   DmaEngine dma(&m);

@@ -439,7 +439,7 @@ TEST(IpcFuse, RecvRejectedWhileWindowPosted) {
   ASSERT_TRUE(stack.kernel->PostRecv(*peer, rx, *win_or, kPageSize, nullptr, {}).ok());
   auto r = stack.kernel->Recv(*peer, rx, *win_or, kPageSize, nullptr);
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  // A second post extends the receive ring (enable_recv_ring default).
+  // A second post extends the receive ring.
   ASSERT_TRUE(
       stack.kernel->PostRecv(*peer, rx, *win_or + kPageSize, kPageSize, nullptr, {}).ok());
   for (int i = 0; i < 2; ++i) {
@@ -448,26 +448,6 @@ TEST(IpcFuse, RecvRejectedWhileWindowPosted) {
     EXPECT_EQ(*filled, 0u);
   }
   // With both windows reaped, Recv works again (EAGAIN on empty).
-  EXPECT_EQ(stack.kernel->Recv(*peer, rx, *win_or, kPageSize, nullptr).status().code(),
-            StatusCode::kUnavailable);
-}
-
-TEST(IpcFuse, DoublePostRejectedWithoutRecvRing) {
-  core::CopierConfig config;
-  config.enable_recv_ring = false;
-  CopierStack stack(config);
-  simos::Process* peer = stack.kernel->CreateProcess("peer");
-  stack.service->AttachProcess(peer);
-  auto [tx, rx] = stack.kernel->CreateSocketPair();
-  (void)tx;
-  auto win_or = peer->mem().MapAnonymous(kPageSize, "win", true);
-  ASSERT_TRUE(win_or.ok());
-  ASSERT_TRUE(stack.kernel->PostRecv(*peer, rx, *win_or, kPageSize, nullptr, {}).ok());
-  auto p = stack.kernel->PostRecv(*peer, rx, *win_or, kPageSize, nullptr, {});
-  EXPECT_EQ(p.status().code(), StatusCode::kFailedPrecondition);
-  auto filled = stack.kernel->CompleteRecv(*peer, rx, nullptr);
-  ASSERT_TRUE(filled.ok());
-  EXPECT_EQ(*filled, 0u);
   EXPECT_EQ(stack.kernel->Recv(*peer, rx, *win_or, kPageSize, nullptr).status().code(),
             StatusCode::kUnavailable);
 }

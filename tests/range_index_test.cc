@@ -116,8 +116,7 @@ struct RefEntry {
   uint64_t order;
 };
 
-// Reference model: plain vectors + linear scans (the code path the index
-// replaces in the Engine).
+// Reference model: plain vectors + linear scans.
 struct RefIndex {
   std::vector<RefEntry> sides[2];
 

@@ -3,6 +3,7 @@
 // sockets, and Binder.
 #include <gtest/gtest.h>
 
+#include "src/libcopier/libcopier.h"
 #include "src/simos/binder.h"
 #include "src/simos/kernel.h"
 #include "tests/test_util.h"
@@ -307,23 +308,26 @@ TEST(Binder, ExhaustsBuffers) {
   EXPECT_TRUE(binder.Transact(*client, *msg, kPageSize, nullptr).ok());
 }
 
-// Differential: the SAME socket workload through the Copier backend with
-// vectored submission on vs off (per-skb ablation) must land byte-identical
-// images with the same number of per-skb completion handlers; only the
-// submission accounting differs (one SG task + one doorbell per syscall vs
-// one task + one doorbell per skb).
+// Vectored submission: each Send publishes its whole skb op-list as ONE
+// scatter-gather Copy Task behind ONE doorbell, and so does each Recv that
+// moves bytes. The received image is checked against the sent source bytes
+// and the accounting against absolute counts: one batch, one queue entry and
+// one doorbell per syscall, and one completion handler per skb on each side
+// (send-side delivery, receive-side reclaim).
 struct VectoredRunResult {
   std::vector<uint8_t> image;
+  std::vector<uint8_t> source;
+  size_t sends = 0;
+  size_t recvs = 0;
+  size_t skbs = 0;  // skbs the sends filled (one per kMtu of payload)
   uint64_t kfuncs_run = 0;
   uint64_t submit_entries = 0;
   uint64_t submit_batches = 0;
   uint64_t notify_calls = 0;
 };
 
-VectoredRunResult RunVectoredWorkload(bool vectored) {
-  core::CopierConfig config;
-  config.enable_vectored_submit = vectored;
-  test::CopierStack stack(config);
+VectoredRunResult RunVectoredWorkload() {
+  test::CopierStack stack;
   Process* peer = stack.kernel->CreateProcess("peer");
   stack.service->AttachProcess(peer);
   auto [tx, rx] = stack.kernel->CreateSocketPair();
@@ -334,6 +338,7 @@ VectoredRunResult RunVectoredWorkload(bool vectored) {
   EXPECT_TRUE(dst_or.ok());
   FillPattern(stack.proc->mem(), src, n, 91);
 
+  VectoredRunResult result;
   core::Descriptor descriptor(n);
   simos::RecvOptions ropts;
   ropts.descriptor = &descriptor;
@@ -349,6 +354,8 @@ VectoredRunResult RunVectoredWorkload(bool vectored) {
       if (!sent.ok()) {
         break;
       }
+      ++result.sends;
+      result.skbs += (*sent + kMtu - 1) / kMtu;
       sent_total += *sent;
     }
     stack.service->DrainAll();
@@ -357,13 +364,14 @@ VectoredRunResult RunVectoredWorkload(bool vectored) {
     if (!got.ok()) {
       break;
     }
+    result.recvs += *got > 0 ? 1 : 0;
     received += *got;
     stack.service->DrainAll();
   }
   EXPECT_EQ(received, n);
 
-  VectoredRunResult result;
   result.image = ReadAll(peer->mem(), *dst_or, n);
+  result.source = ReadAll(stack.proc->mem(), src, n);
   const core::Engine::Stats stats = stack.service->TotalStats();
   result.kfuncs_run = stats.kfuncs_run;
   result.submit_entries = stats.submit_entries;
@@ -373,24 +381,115 @@ VectoredRunResult RunVectoredWorkload(bool vectored) {
 }
 
 TEST(VectoredSubmit, DifferentialVectoredVsPerSkb) {
-  const VectoredRunResult vec = RunVectoredWorkload(/*vectored=*/true);
-  const VectoredRunResult per_op = RunVectoredWorkload(/*vectored=*/false);
+  const VectoredRunResult vec = RunVectoredWorkload();
+  ASSERT_EQ(vec.image.size(), vec.source.size());
+  EXPECT_EQ(vec.image, vec.source);
 
-  // Byte identity: the modes differ in submission batching only.
-  ASSERT_EQ(vec.image.size(), per_op.image.size());
-  EXPECT_EQ(vec.image, per_op.image);
+  // 150 KiB + 123 B in 32 KiB sends: 5 sends filling 38 skbs.
+  EXPECT_EQ(vec.sends, 5u);
+  EXPECT_EQ(vec.skbs, 38u);
+  const uint64_t syscalls = vec.sends + vec.recvs;
+  EXPECT_EQ(vec.submit_batches, syscalls);
+  EXPECT_EQ(vec.submit_entries, syscalls);
+  EXPECT_EQ(vec.notify_calls, syscalls);
+  EXPECT_EQ(vec.kfuncs_run, 2 * vec.skbs);
+}
 
-  // Identical per-skb completion handlers ran (KFUNC count is per segment in
-  // vectored mode, per task in per-op mode — one per skb either way).
-  EXPECT_EQ(vec.kfuncs_run, per_op.kfuncs_run);
-  EXPECT_GT(vec.kfuncs_run, 0u);
+// Ring-full fallbacks. A 2-slot ring cannot take a vector of eight copies,
+// so libcopier submits entry by entry (copying synchronously, after a
+// csync_all, whenever the ring is full). Nor can it take a syscall's enter
+// barrier and scatter-gather task while keeping a slot for the exit barrier,
+// so every Send and Recv takes the glue's per-segment path: one task and one
+// doorbell per skb, each waiting for the engine to make room so no skb is
+// delivered out of stream order. Bytes must match the source and every
+// per-skb handler must fire exactly once.
+TEST(VectoredSubmit, RingFullFallbacksMatchSourceBytes) {
+  core::CopierConfig config;
+  config.queue_capacity = 2;
+  test::CopierStack stack(config);
+  size_t handlers = 0;
+  stack.kernel->SetKfuncProbe([&](uint32_t) { ++handlers; });
 
-  // Vectored mode ingested scatter-gather tasks; per-op mode ingested none,
-  // and needed far more queue entries and doorbells for the same bytes.
-  EXPECT_GT(vec.submit_batches, 0u);
-  EXPECT_EQ(per_op.submit_batches, 0u);
-  EXPECT_LT(vec.submit_entries, per_op.submit_entries);
-  EXPECT_LT(vec.notify_calls, per_op.notify_calls);
+  constexpr size_t kEntry = 8 * kKiB;
+  constexpr size_t kEntries = 8;
+  const uint64_t src = stack.Map(kEntries * kEntry, "src");
+  const uint64_t dst = stack.Map(kEntries * kEntry, "dst");
+  FillPattern(stack.proc->mem(), src, kEntries * kEntry, 17);
+  std::vector<lib::CopyVecEntry> entries;
+  for (size_t i = 0; i < kEntries; ++i) {
+    entries.push_back({dst + i * kEntry, src + i * kEntry, kEntry});
+  }
+  stack.lib->copier_submitv(entries);
+  ASSERT_TRUE(stack.lib->csync_all().ok());
+  EXPECT_EQ(ReadAll(stack.proc->mem(), dst, kEntries * kEntry),
+            ReadAll(stack.proc->mem(), src, kEntries * kEntry));
+  const core::Engine::Stats lib_stats = stack.service->TotalStats();
+  EXPECT_GT(lib_stats.submit_entries, 0u);
+  EXPECT_LT(lib_stats.submit_entries, kEntries) << "a full ring must copy some entries inline";
+  EXPECT_EQ(lib_stats.submit_batches, 0u);
+
+  // Two back-to-back sends with no serve between them, then the receive.
+  Process* peer = stack.kernel->CreateProcess("peer");
+  stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+  constexpr size_t kSend = 16 * kKiB;
+  for (size_t i = 0; i < 2; ++i) {
+    auto sent = stack.kernel->Send(*stack.proc, tx, src + i * kSend, kSend, nullptr);
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    ASSERT_EQ(*sent, kSend);
+  }
+  stack.service->DrainAll();
+  auto buf = peer->mem().MapAnonymous(2 * kSend, "rx", true);
+  ASSERT_TRUE(buf.ok());
+  size_t received = 0;
+  for (int i = 0; i < 8 && received < 2 * kSend; ++i) {
+    auto got = stack.kernel->Recv(*peer, rx, *buf + received, 2 * kSend - received, nullptr);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    received += *got;
+    stack.service->DrainAll();
+  }
+  ASSERT_EQ(received, 2 * kSend);
+  EXPECT_EQ(ReadAll(peer->mem(), *buf, 2 * kSend), ReadAll(stack.proc->mem(), src, 2 * kSend));
+
+  const core::Engine::Stats stats = stack.service->TotalStats();
+  constexpr size_t kSkbs = 2 * kSend / kMtu;
+  EXPECT_EQ(handlers, 2 * kSkbs) << "one send-side and one receive-side handler per skb";
+  EXPECT_EQ(stats.kfuncs_run, 2 * kSkbs) << "every skb copy was queued, none inline";
+  EXPECT_EQ(stats.submit_batches, 0u);
+  EXPECT_EQ(stats.submit_entries - lib_stats.submit_entries, 2 * kSkbs);
+}
+
+// A Send that finds the ring full behind an undrained Send on the same
+// stream waits for the engine to make room instead of copying inline: an
+// inline copy would deliver its skbs ahead of the queued ones.
+TEST(VectoredSubmit, FullRingKeepsStreamOrder) {
+  core::CopierConfig config;
+  config.queue_capacity = 4;  // one Send's [enter, SG task, exit] leaves 1 slot
+  test::CopierStack stack(config);
+  Process* peer = stack.kernel->CreateProcess("peer");
+  stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+  constexpr size_t kSend = 16 * kKiB;
+  constexpr size_t kSends = 3;
+  const uint64_t src = stack.Map(kSends * kSend, "src");
+  FillPattern(stack.proc->mem(), src, kSends * kSend, 29);
+  for (size_t i = 0; i < kSends; ++i) {
+    auto sent = stack.kernel->Send(*stack.proc, tx, src + i * kSend, kSend, nullptr);
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    ASSERT_EQ(*sent, kSend);
+  }
+  stack.service->DrainAll();
+  auto buf = peer->mem().MapAnonymous(kSends * kSend, "rx", true);
+  ASSERT_TRUE(buf.ok());
+  auto got = stack.kernel->Recv(*peer, rx, *buf, kSends * kSend, nullptr);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(*got, kSends * kSend);
+  stack.service->DrainAll();
+  EXPECT_EQ(ReadAll(peer->mem(), *buf, kSends * kSend),
+            ReadAll(stack.proc->mem(), src, kSends * kSend));
+  const core::Engine::Stats stats = stack.service->TotalStats();
+  EXPECT_EQ(stats.submit_batches, kSends + 1) << "one batch per Send and one for the Recv";
+  EXPECT_EQ(stats.kfuncs_run, 2 * kSends * kSend / kMtu) << "no skb was copied inline";
 }
 
 TEST(VirtualTime, SyscallChargesTrapCosts) {

@@ -112,9 +112,8 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // Thousands of outstanding tasks with overlapping ranges, aborts arriving
 // mid-stream, and retirement churn across submission waves. Exercises the
-// pending-range interval index (and the linear-scan baseline) at the queue
-// depths bench_queue_depth measures, asserting both modes refine the same
-// in-order execution.
+// pending-range interval index at the queue depths bench_queue_depth
+// measures, asserting the engine refines the in-order execution.
 
 struct DeepQueueResult {
   std::vector<uint8_t> bytes;      // final arena contents
@@ -123,7 +122,7 @@ struct DeepQueueResult {
   uint64_t dep_probes = 0;
 };
 
-DeepQueueResult RunDeepQueueScenario(bool enable_range_index) {
+DeepQueueResult RunDeepQueueScenario() {
   // Arena layout: S (source pool, never written), W (working region with
   // overlapping copy chains), X (abort scratch: each slot written by exactly
   // one task that is aborted before executing, so it must keep its initial
@@ -134,9 +133,7 @@ DeepQueueResult RunDeepQueueScenario(bool enable_range_index) {
   const size_t kSlots = 256;
   const size_t kTotal = kS + kW + kSlots * kSlot;
 
-  core::CopierConfig config;
-  config.enable_range_index = enable_range_index;
-  CopierStack stack(config);
+  CopierStack stack;
   const uint64_t arena = stack.Map(kTotal, "deep");
   FillPattern(stack.proc->mem(), arena, kTotal, 77);
 
@@ -200,18 +197,10 @@ DeepQueueResult RunDeepQueueScenario(bool enable_range_index) {
 }
 
 TEST(DeepQueueStress, IndexedModeMatchesInOrderReferenceAtDepth1024) {
-  const DeepQueueResult indexed = RunDeepQueueScenario(/*enable_range_index=*/true);
+  const DeepQueueResult indexed = RunDeepQueueScenario();
   EXPECT_GE(indexed.max_depth, 1024u);
   EXPECT_GT(indexed.dep_probes, 0u);
   ASSERT_EQ(indexed.bytes, indexed.reference);
-}
-
-TEST(DeepQueueStress, LinearBaselineMatchesIndexedModeByteForByte) {
-  const DeepQueueResult linear = RunDeepQueueScenario(/*enable_range_index=*/false);
-  EXPECT_GE(linear.max_depth, 1024u);
-  ASSERT_EQ(linear.bytes, linear.reference);
-  const DeepQueueResult indexed = RunDeepQueueScenario(/*enable_range_index=*/true);
-  ASSERT_EQ(linear.bytes, indexed.bytes);
 }
 
 }  // namespace
