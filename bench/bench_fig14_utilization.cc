@@ -152,19 +152,16 @@ void RunThreadedUtilization() {
   service.Stop();
 
   // "bytes copied" is progress the clients observed; "moved" is what the
-  // engines physically shipped (AVX + DMA) and "remapped" what the zero-copy
-  // tier eliminated by aliasing (DESIGN.md §11). CoW faults count the lazy
-  // materializations the aliases later paid for.
+  // engines physically shipped (AVX + DMA).
   uint64_t cow_faults = 0;
   for (const auto& inst : instances) {
     cow_faults += inst.proc->mem().cow_faults();
   }
-  TextTable engine_table({"tasks done", "bytes copied", "moved", "remapped", "absorbed",
+  TextTable engine_table({"tasks done", "bytes copied", "moved", "absorbed",
                           "promotions", "cow faults"});
   engine_table.AddRow({TextTable::Num(totals.tasks_completed, 0),
                        TextTable::Bytes(totals.bytes_copied),
                        TextTable::Bytes(totals.avx_bytes + totals.dma_bytes_completed),
-                       TextTable::Bytes(totals.remapped_bytes),
                        TextTable::Bytes(totals.bytes_absorbed),
                        TextTable::Num(totals.sync_promotions, 0),
                        TextTable::Num(cow_faults, 0)});
@@ -191,14 +188,13 @@ void RunThreadedUtilization() {
   // Per-engine utilization (DESIGN.md §10): how evenly the pool shared the
   // load — serving cycles, tasks, cross-engine steals and shared-range
   // dependency traffic, per engine.
-  TextTable engine_util_table({"engine", "serve cyc", "tasks", "bytes", "remapped", "steals in",
+  TextTable engine_util_table({"engine", "serve cyc", "tasks", "bytes", "steals in",
                                "steals out", "x-probes", "x-settles", "x-defers"});
   for (size_t e = 0; e < service.engine_count(); ++e) {
     const core::CopierService::EngineUtil util = service.engine_util(e);
     engine_util_table.AddRow(
         {std::to_string(e), TextTable::Num(util.stats.serve_cycles, 0),
          TextTable::Num(util.stats.tasks_completed, 0), TextTable::Bytes(util.stats.bytes_copied),
-         TextTable::Bytes(util.stats.remapped_bytes),
          TextTable::Num(util.steals_in, 0), TextTable::Num(util.steals_out, 0),
          TextTable::Num(util.stats.cross_dep_probes, 0),
          TextTable::Num(util.stats.cross_dep_settles, 0),

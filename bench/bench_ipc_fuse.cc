@@ -3,9 +3,8 @@
 // three shapes:
 //
 //   socket   — loopback stream send into the receiver's posted window,
-//              4 KiB → 4 MiB. Fused sends skip the skb staging hop (and
-//              remap-alias when page-congruent); the ablation stages into
-//              skbs and drains into the same window.
+//              4 KiB → 4 MiB. Fused sends skip the skb staging hop; the
+//              ablation stages into skbs and drains into the same window.
 //   binder   — one transaction landing in the server's posted window,
 //              64 KiB → 1 MiB (the transaction-buffer ceiling).
 //   pipeline — proxy→KV over Binder: the client ships a MiniKv SET command

@@ -135,9 +135,9 @@ StatusOr<bool> MiniKv::ProcessOne(simos::SimSocket* sock, ExecContext* ctx) {
         std::snprintf(header, sizeof(header), "$%zu\r\n", entry.length);
     // Land the value page-aligned in the reply buffer: store values are
     // page-aligned (EntryFor maps them), so the store -> reply copy is
-    // page-co-aligned and the remap tier (DESIGN.md §11) can satisfy its
-    // interior by aliasing when it executes physically. The header backs up
-    // from the value instead of the value trailing the header.
+    // page-co-aligned and its subtasks split at the same page boundaries on
+    // both sides. The header backs up from the value instead of the value
+    // trailing the header.
     const uint64_t value_va = entry.length + 2 + kPageSize <= config_.io_buf_bytes
                                   ? reply_va + kPageSize
                                   : reply_va + header_len;

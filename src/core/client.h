@@ -215,10 +215,6 @@ class Client {
   std::multiset<uint64_t> parked_orders;
   std::atomic<uint64_t> dma_inflight_bytes{0};
 
-  // Last AddressSpace::alias_cow_breaks() value folded into engine stats
-  // (remap tier, DESIGN.md §11). Mutated only while `serving` is held.
-  uint64_t alias_breaks_seen = 0;
-
   // Invalidation-listener tokens AttachProcess installed on the client's
   // space (one per engine ATCache); removed at detach / service teardown.
   std::vector<int> atcache_tokens;

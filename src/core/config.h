@@ -38,16 +38,6 @@ struct CopierConfig {
   // Global-view optimizations (§4.4).
   bool enable_absorption = true;
 
-  // Zero-copy remap tier (DESIGN.md §11): the page-aligned, page-multiple
-  // interior of an eligible user->user copy is satisfied by CoW aliasing
-  // (AliasCowRange) instead of moving bytes; later writes to either side
-  // materialize the copy lazily through the CoW-break path. Off = every byte
-  // is physically moved (ablation / bench_remap "copy" mode).
-  bool enable_remap_tier = true;
-  // Minimum aliasable interior: below this the remap + TLB-shootdown cost
-  // does not beat just copying the pages.
-  size_t remap_min_bytes = 2 * kPageSize;
-
   // Fused IPC fast path (DESIGN.md §12): when the receiver of a Binder
   // transaction or loopback-socket send has already posted its landing
   // window, the two-step transfer (sender -> kernel skb/parcel buffer ->

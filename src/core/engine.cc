@@ -161,9 +161,6 @@ Engine::Stats Engine::stats() const {
   s.kfuncs_run = stats_.kfuncs_run;
   s.ufuncs_queued = stats_.ufuncs_queued;
   s.lazy_absorbed_bytes = stats_.lazy_absorbed_bytes;
-  s.remap_tasks = stats_.remap_tasks;
-  s.remapped_bytes = stats_.remapped_bytes;
-  s.remap_cow_breaks = stats_.remap_cow_breaks;
   s.fused_ipc_tasks = stats_.fused_ipc_tasks;
   s.fused_ipc_bytes = stats_.fused_ipc_bytes;
   s.last_kfunc_cycles = stats_.last_kfunc_cycles.load(std::memory_order_relaxed);
@@ -647,7 +644,7 @@ void Engine::ResolveSources(Client& client, PendingTask& task, size_t src_offset
   const bool absorb = config_.enable_absorption && depth < config_.max_dependency_depth;
   for (const RefPiece& p : pieces) {
     if (!absorb) {
-      out->push_back({p.ref, p.length, false});
+      out->push_back({p.ref, p.length});
     } else {
       ResolveSourcesContig(client, task, p.ref, p.length, depth, out);
     }
@@ -667,7 +664,7 @@ void Engine::ResolveSourcesContig(Client& client, PendingTask& task, const MemRe
     if (producer == nullptr) {
       // Plain piece up to the nearest producer-covered byte (ovl_off).
       const size_t plain = std::min(length - pos, ovl_off);
-      out->push_back({src.Offset(pos), plain, false});
+      out->push_back({src.Offset(pos), plain});
       pos += plain;
       continue;
     }
@@ -687,7 +684,7 @@ void Engine::ResolveSourcesContig(Client& client, PendingTask& task, const MemRe
       // Clamp to the producer's own extent.
       chunk = std::min(chunk, producer->task.length - producer_local);
       if (producer->progress->SegmentReady(seg_index)) {
-        out->push_back({src.Offset(pos + done), chunk, false});
+        out->push_back({src.Offset(pos + done), chunk});
       } else {
         stats_.bytes_absorbed += chunk;
         if (producer->task.type == TaskType::kLazy) {
@@ -1222,27 +1219,6 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       for (auto [xs, xe] : exec) {
         std::vector<SourcePiece> sources;
         ResolveSources(client, task, xs, xe - xs, depth, &sources);
-        // Remap tier (DESIGN.md §11): a page-co-aligned interior backed
-        // directly by the task's source is satisfied by CoW aliasing —
-        // complete for ordering, zero bytes moved. The unaligned head and
-        // tail (and any ineligible range) take the physical path below.
-        size_t rs = 0;
-        size_t re = 0;
-        if (RemapCandidate(task, xs, xe, &rs, &re) &&
-            RemapSourcesPlain(task, sources, xs, rs, re) &&
-            TryRemapRange(client, task, rs, re)) {
-          for (auto [hs, he] : {std::pair<size_t, size_t>{xs, rs}, {re, xe}}) {
-            if (hs >= he) {
-              continue;
-            }
-            std::vector<SourcePiece> edge;
-            ResolveSources(client, task, hs, he - hs, depth, &edge);
-            std::vector<Subtask> subtasks;
-            COPIER_RETURN_IF_ERROR(BuildSubtasks(client, task, hs, edge, &subtasks));
-            ExecuteRound(client, subtasks);
-          }
-          continue;
-        }
         std::vector<Subtask> subtasks;
         COPIER_RETURN_IF_ERROR(BuildSubtasks(client, task, xs, sources, &subtasks));
         ExecuteRound(client, subtasks);
@@ -1263,104 +1239,6 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
     }
   }
   return OkStatus();
-}
-
-// ---------------------------------------------------------------------------
-// Zero-copy remap tier (DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-bool Engine::RemapCandidate(const PendingTask& task, size_t start, size_t end, size_t* rs,
-                            size_t* re) const {
-  if (!config_.enable_remap_tier ||
-      (task.task.sg != nullptr && !task.task.sg->bookkeeping)) {
-    return false;
-  }
-  const MemRef& dst = task.task.dst;
-  const MemRef& src = task.task.src;
-  if (!dst.is_user() || !src.is_user()) {
-    return false;
-  }
-  // Both sides must reach page boundaries at the same task offsets, i.e. the
-  // VAs are congruent mod the page size. A prefix-spliced source (forward
-  // fuse) shifts the user bytes: task-local byte k reads src.va + k - pfx, so
-  // the congruence carries the prefix length and the aliasable interior
-  // starts past the prefix (whose bytes have no user source to alias).
-  const size_t pfx = SrcPrefixLen(task.task);
-  if (((dst.va - src.va + pfx) & (kPageSize - 1)) != 0) {
-    return false;
-  }
-  const uint64_t lo = AlignUp(dst.va + std::max(start, pfx), kPageSize);
-  const uint64_t hi = AlignDown(dst.va + end, kPageSize);
-  const size_t min_bytes = std::max<size_t>(config_.remap_min_bytes, kPageSize);
-  if (lo >= hi || hi - lo < min_bytes) {
-    return false;
-  }
-  *rs = lo - dst.va;
-  *re = hi - dst.va;
-  // Fused IPC tasks (bookkeeping SgList) have a receiver latency-blocked on
-  // the window descriptor, so the alias is taken only when the PTE/shootdown
-  // work beats the single engine copy it would replace; bulk amemcpy-style
-  // tasks take the alias for the moved-bytes win alone.
-  if (task.task.sg != nullptr && task.task.sg->bookkeeping) {
-    const size_t pages = (hi - lo) / kPageSize;
-    const Cycles alias_cost =
-        timing_->page_remap_cycles * pages + timing_->tlb_shootdown_cycles;
-    if (alias_cost >= timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, hi - lo)) {
-      return false;
-    }
-  }
-  // Overlapping same-space interiors cannot alias (a frame would be both
-  // sides of the share); AliasCowRange would reject them anyway.
-  if (dst.space == src.space &&
-      RangesOverlap(dst.va + *rs, *re - *rs, src.va + *rs, *re - *rs)) {
-    return false;
-  }
-  return true;
-}
-
-bool Engine::RemapSourcesPlain(const PendingTask& task, const std::vector<SourcePiece>& sources,
-                               size_t start, size_t rs, size_t re) {
-  const MemRef& src = task.task.src;
-  const size_t pfx = SrcPrefixLen(task.task);
-  size_t pos = start;
-  for (const SourcePiece& piece : sources) {
-    const size_t piece_start = pos;
-    pos += piece.length;
-    if (pos <= rs) {
-      continue;
-    }
-    if (piece_start >= re) {
-      break;
-    }
-    // A piece backs the interior only if it sits at the task's own source
-    // offset — absorption rewrites pieces to the producer's memory, where
-    // the aliasable frames do not hold the task's data yet. Under a prefix
-    // splice user bytes sit `pfx` earlier in the source range (the interior
-    // itself starts past the prefix, so piece_start >= pfx here).
-    if (piece.absorbed || !piece.ref.is_user() || piece.ref.space != src.space ||
-        piece.ref.va != src.va + piece_start - pfx) {
-      return false;
-    }
-  }
-  return pos >= re;
-}
-
-bool Engine::TryRemapRange(Client& client, PendingTask& task, size_t rs, size_t re) {
-  const MemRef& dst = task.task.dst;
-  const MemRef& src = task.task.src;
-  const size_t pfx = SrcPrefixLen(task.task);
-  const size_t length = re - rs;
-  const Status aliased =
-      dst.space->AliasCowRangeFrom(*src.space, dst.va + rs, src.va + rs - pfx, length, ctx_);
-  if (!aliased.ok()) {
-    return false;  // pinned/huge/shared/unmapped edge: physical copy fallback
-  }
-  ++stats_.remap_tasks;
-  stats_.remapped_bytes += length;
-  // The aliased bytes are complete for ordering: progress marks, kfuncs and
-  // barrier visibility flow through the same accounting as a physical copy.
-  MarkProgress(client, task, rs, length, CtxNow(ctx_));
-  return true;
 }
 
 Status Engine::ExecuteTaskRange(Client& client, PendingTask& task, size_t offset, size_t length,
@@ -1824,13 +1702,10 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
   // earlier task has not fired, this one stays done-but-unfired and the
   // predecessor's completion cascades it (below). Cross-engine settles need
   // this so KFUNC order does not depend on which engine's settle landed the
-  // task first; the remap tier (DESIGN.md §11) needs it so an aliased task —
-  // complete the instant its PTEs flip — cannot overtake a predecessor whose
-  // bytes are still moving, which would make observable completion order an
-  // artifact of the enable_remap_tier ablation.
+  // task first.
   if (HasEarlierUnfired(client, task.order)) {
     // The blocking predecessor may itself be done (completed mid-round via
-    // absorption or a remap) with nobody left to call CompleteTask on it:
+    // absorption) with nobody left to call CompleteTask on it:
     // run the cascade so done-but-unfired prefixes drain now, not never.
     FireDeferredSuccessors(client);
     return;
@@ -2222,16 +2097,6 @@ uint64_t Engine::ServeClient(Client& client, uint64_t max_bytes) {
     RetireDone(client);
   }
   dma_.Poll(CtxNow(ctx_));
-  // Attribute CoW breaks of remap-aliased pages (the lazily materialized
-  // copies) to the serving engine. Delta-sampled: the space's counter is
-  // monotonic and this engine holds the client's serving claim.
-  if (client.space() != nullptr) {
-    const uint64_t breaks = client.space()->alias_cow_breaks();
-    if (breaks > client.alias_breaks_seen) {
-      stats_.remap_cow_breaks += breaks - client.alias_breaks_seen;
-      client.alias_breaks_seen = breaks;
-    }
-  }
   stats_.serve_cycles += CtxNow(ctx_) - serve_start;
   return served;
 }

@@ -143,13 +143,10 @@ class Engine {
     uint64_t kfuncs_run = 0;
     uint64_t ufuncs_queued = 0;
     uint64_t lazy_absorbed_bytes = 0;
-    // Zero-copy remap tier (DESIGN.md §11). remapped_bytes count toward
-    // bytes_copied (progress semantics) but not avx/dma bytes — nothing
-    // physically moved. remap_cow_breaks are the lazily materialized copies
-    // (sampled from the client spaces' alias-break counters).
-    uint64_t remap_tasks = 0;       // exec ranges satisfied by aliasing
-    uint64_t remapped_bytes = 0;    // bytes landed without moving
-    uint64_t remap_cow_breaks = 0;  // post-remap write faults that broke a share
+    // Always 0: the remap tier they counted is gone (DESIGN.md §11); kept
+    // only because perfbench's layer table still reads them.
+    uint64_t remapped_bytes = 0;
+    uint64_t remap_cow_breaks = 0;
     // Fused IPC fast path (DESIGN.md §12): single-hop transfers that skipped
     // the intermediate kernel buffer. fused_ipc_bytes counts exactly the
     // bytes that landed through a fused task (each such byte would have been
@@ -282,7 +279,6 @@ class Engine {
   struct SourcePiece {
     MemRef ref;
     size_t length = 0;
-    bool absorbed = false;  // read through an unexecuted producer
   };
   void ResolveSources(Client& client, PendingTask& task, size_t src_offset, size_t length,
                       int depth, std::vector<SourcePiece>* out);
@@ -315,22 +311,6 @@ class Engine {
   // reports whether the translation hit the ATCache via `*cached`.
   StatusOr<uint8_t*> ResolveUserPage(simos::AddressSpace* space, uint64_t va, bool for_write,
                                      bool* cached);
-
-  // --- zero-copy remap tier (DESIGN.md §11) -----------------------------------
-  // Geometric eligibility of task-local [start, end): a non-SG user->user
-  // copy whose sides are page-co-aligned with a page-multiple interior of at
-  // least remap_min_bytes. On success *rs/*re bound the aliasable interior.
-  bool RemapCandidate(const PendingTask& task, size_t start, size_t end, size_t* rs,
-                      size_t* re) const;
-  // True when the resolved `sources` (covering task-local [start, ...)) back
-  // [rs, re) directly from the task's own source range — absorbed pieces read
-  // through producers whose data is *not* at the source, so they must copy.
-  static bool RemapSourcesPlain(const PendingTask& task, const std::vector<SourcePiece>& sources,
-                                size_t start, size_t rs, size_t re);
-  // Aliases the interior instead of copying and marks it complete for
-  // ordering. Returns false (leaving no partial alias) to fall back to the
-  // physical copy path.
-  bool TryRemapRange(Client& client, PendingTask& task, size_t rs, size_t re);
 
   // Security checks (§4.5.4): u-mode tasks may only touch their own space.
   Status ValidateTask(Client& client, const CopyTask& task, bool kernel_mode) const;
@@ -451,9 +431,6 @@ class Engine {
     RelaxedCounter kfuncs_run;
     RelaxedCounter ufuncs_queued;
     RelaxedCounter lazy_absorbed_bytes;
-    RelaxedCounter remap_tasks;
-    RelaxedCounter remapped_bytes;
-    RelaxedCounter remap_cow_breaks;
     RelaxedCounter fused_ipc_tasks;
     RelaxedCounter fused_ipc_bytes;
     RelaxedCounter dep_probes;

@@ -117,9 +117,9 @@ Client* CopierService::AttachProcess(simos::Process* process, Cgroup* cgroup) {
   client_index_.emplace(client->id(), client);
   if (process != nullptr) {
     process->set_copier_client_id(client->id());
-    // CoW breaks on a registered space — post-remap writes (DESIGN.md §11)
-    // and fork breaks alike — copy with the engine's accelerated page-copy
-    // path charged through the timing model, not the default ERMS cost.
+    // CoW breaks on a registered space (fork CoW) copy with the engine's
+    // accelerated page-copy path charged through the timing model, not the
+    // default ERMS cost.
     // (AccelerateCow may later swap in the service-submitting variant.)
     const hw::TimingModel* timing = timing_;
     process->mem().SetCowCopyFn(
@@ -128,7 +128,7 @@ Client* CopierService::AttachProcess(simos::Process* process, Cgroup* cgroup) {
           ChargeCtx(ctx, timing->CpuCopyCycles(hw::CopyUnitKind::kAvx, len));
         });
     // Keep every engine's ATCache coherent with this space's mapping changes:
-    // the remap tier re-points PTEs while translations may be cached.
+    // unmaps and CoW breaks re-point PTEs while translations may be cached.
     for (auto& engine : engines_) {
       client->atcache_tokens.push_back(engine->atcache().Attach(process->mem()));
     }
@@ -802,9 +802,6 @@ Engine::Stats CopierService::TotalStats() const {
     total.kfuncs_run += s.kfuncs_run;
     total.ufuncs_queued += s.ufuncs_queued;
     total.lazy_absorbed_bytes += s.lazy_absorbed_bytes;
-    total.remap_tasks += s.remap_tasks;
-    total.remapped_bytes += s.remapped_bytes;
-    total.remap_cow_breaks += s.remap_cow_breaks;
     total.dep_probes += s.dep_probes;
     total.dep_tasks_scanned += s.dep_tasks_scanned;
     total.submit_entries += s.submit_entries;

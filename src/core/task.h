@@ -100,9 +100,9 @@ struct SgList {
                                // false: scatter (segments -> user, recv path)
   // Bookkeeping list (fused IPC, DESIGN.md §12): the segments carry only
   // chunk lengths and per-chunk KFUNCs — `kernel` stays null and neither side
-  // of the task is a segment list. Geometry, dependency tracking, the remap
-  // tier and cross-engine visibility all treat the task as its plain
-  // contiguous dst/src (SideIsSg returns false); only the in-order
+  // of the task is a segment list. Geometry, dependency tracking and
+  // cross-engine visibility all treat the task as its plain contiguous
+  // dst/src (SideIsSg returns false); only the in-order
   // credit-and-fire machinery consumes the list, so skb-token reclaim fires
   // chunk by chunk exactly as the two-step path fires per-skb KFUNCs.
   bool bookkeeping = false;

@@ -74,7 +74,7 @@ struct TimingModel {
   Cycles page_alloc_cycles = 300;
   Cycles page_fault_entry_cycles = 1400;  // hardware fault + kernel entry/exit
   Cycles page_remap_cycles = 650;         // PTE update for one page
-  Cycles tlb_shootdown_cycles = 2200;     // per remap batch
+  Cycles tlb_shootdown_cycles = 2200;     // per batch of PTE changes (CoW break)
   Cycles skb_alloc_cycles = 250;
   Cycles binder_transaction_cycles = 5200;  // driver bookkeeping + server wakeup
 

@@ -187,23 +187,17 @@ Status AddressSpace::LockedBreakCow(uint64_t va, Pte& pte, ExecContext* ctx) {
 
   // Fast path: sole owner — just restore write permission.
   bool sole_owner = true;
-  bool was_aliased = false;
   for (size_t i = 0; i < pages; ++i) {
     auto it = page_table_.find(first_vpn + i);
     COPIER_CHECK(it != page_table_.end() && it->second.present);
-    was_aliased |= it->second.aliased;
     if (phys_->RefCount(it->second.pfn) > 1) {
       sole_owner = false;
     }
-  }
-  if (was_aliased) {
-    alias_cow_breaks_.fetch_add(1, std::memory_order_relaxed);
   }
   if (sole_owner) {
     for (size_t i = 0; i < pages; ++i) {
       page_table_[first_vpn + i].writable = true;
       page_table_[first_vpn + i].cow = false;
-      page_table_[first_vpn + i].aliased = false;
     }
     return OkStatus();
   }
@@ -228,7 +222,6 @@ Status AddressSpace::LockedBreakCow(uint64_t va, Pte& pte, ExecContext* ctx) {
     entry.pfn = *base_or + i;
     entry.writable = true;
     entry.cow = false;
-    entry.aliased = false;
   }
   ChargeCtx(ctx, timing_->page_remap_cycles * pages / (huge ? 64 : 1) +
                      timing_->tlb_shootdown_cycles);
@@ -476,98 +469,6 @@ StatusOr<std::unique_ptr<AddressSpace>> AddressSpace::ForkCow(uint32_t child_asi
   }
   LockedNotifyInvalidation(0, SIZE_MAX);  // permissions changed broadly
   return child;
-}
-
-Status AddressSpace::AliasCowRange(uint64_t dst_va, uint64_t src_va, size_t length,
-                                   ExecContext* ctx) {
-  return AliasCowRangeFrom(*this, dst_va, src_va, length, ctx);
-}
-
-Status AddressSpace::AliasCowRangeFrom(AddressSpace& src_space, uint64_t dst_va, uint64_t src_va,
-                                       size_t length, ExecContext* ctx) {
-  if (length == 0 || !IsAligned(dst_va, kPageSize) || !IsAligned(src_va, kPageSize) ||
-      !IsAligned(length, kPageSize)) {
-    return InvalidArgument("alias range must be page-aligned and a page multiple");
-  }
-  if (&src_space == this && RangesOverlap(dst_va, length, src_va, length)) {
-    return InvalidArgument("alias of overlapping same-space ranges");
-  }
-  if (src_space.phys_ != phys_) {
-    return FailedPrecondition("alias across physical memories");
-  }
-  std::unique_lock<std::mutex> dst_lock(mu_, std::defer_lock);
-  std::unique_lock<std::mutex> src_lock(src_space.mu_, std::defer_lock);
-  if (&src_space == this) {
-    dst_lock.lock();
-  } else {
-    std::lock(dst_lock, src_lock);
-  }
-
-  // Validate everything before touching a single PTE: the caller falls back
-  // to a physical copy on failure, so a half-aliased range must never be
-  // left behind.
-  const Vma* dvma = LockedFindVma(dst_va);
-  if (dvma == nullptr || dst_va + length > dvma->start + dvma->length) {
-    return FailedPrecondition("alias destination not covered by one mapping");
-  }
-  const Vma* svma = src_space.LockedFindVma(src_va);
-  if (svma == nullptr || src_va + length > svma->start + svma->length) {
-    return FailedPrecondition("alias source not covered by one mapping");
-  }
-  // Huge mappings break CoW in whole physically contiguous 2 MiB blocks
-  // (LockedBreakCow), which aliased frames cannot honor; shared mappings
-  // must keep their frames visible to co-mappers.
-  if (!dvma->writable || dvma->huge || dvma->shared || svma->huge || svma->shared) {
-    return FailedPrecondition("alias endpoints must be private, non-huge, writable-dst");
-  }
-  const size_t pages = length >> kPageShift;
-  for (size_t i = 0; i < pages; ++i) {
-    auto dit = page_table_.find(PageNumber(dst_va) + i);
-    if (dit != page_table_.end() && dit->second.pin_count > 0) {
-      return FailedPrecondition("alias destination page pinned");
-    }
-    auto sit = src_space.page_table_.find(PageNumber(src_va) + i);
-    if (sit != src_space.page_table_.end() && sit->second.pin_count > 0) {
-      return FailedPrecondition("alias source page pinned");
-    }
-  }
-  // Fault absent source pages in (zero-fill) so every destination page has a
-  // frame to share; charged like any demand fault.
-  for (size_t i = 0; i < pages; ++i) {
-    const uint64_t va = src_va + (i << kPageShift);
-    auto it = src_space.page_table_.find(PageNumber(va));
-    if (it == src_space.page_table_.end() || !it->second.present) {
-      COPIER_RETURN_IF_ERROR(src_space.LockedFaultIn(*svma, va, ctx));
-    }
-  }
-
-  // Commit: point destination PTEs at the source frames and write-protect
-  // both sides. The new reference is taken before the old destination frame
-  // is dropped so re-aliasing the same pair stays balanced.
-  for (size_t i = 0; i < pages; ++i) {
-    Pte& spte = src_space.page_table_[PageNumber(src_va) + i];
-    phys_->Ref(spte.pfn);
-    spte.writable = false;
-    spte.cow = true;
-    spte.aliased = true;
-    Pte& dpte = page_table_[PageNumber(dst_va) + i];
-    if (dpte.present) {
-      phys_->Unref(dpte.pfn);
-    }
-    dpte.pfn = spte.pfn;
-    dpte.present = true;
-    dpte.writable = false;
-    dpte.cow = true;
-    dpte.aliased = true;
-  }
-  ChargeCtx(ctx, timing_->page_remap_cycles * pages + timing_->tlb_shootdown_cycles);
-  LockedNotifyInvalidation(dst_va, length);
-  if (&src_space == this) {
-    LockedNotifyInvalidation(src_va, length);
-  } else {
-    src_space.LockedNotifyInvalidation(src_va, length);
-  }
-  return OkStatus();
 }
 
 int AddressSpace::AddInvalidationListener(InvalidationFn fn) {

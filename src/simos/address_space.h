@@ -43,7 +43,7 @@ struct PhysRun {
 
 class AddressSpace {
  public:
-  // Fired when a VA range's mapping changes (unmap, CoW break, remap):
+  // Fired when a VA range's mapping changes (unmap, CoW break, fork):
   // (asid, first VA affected, byte length).
   using InvalidationFn = std::function<void(uint32_t, uint64_t, size_t)>;
   // Page-copy hook used by the CoW break path; Copier-Linux installs an
@@ -110,23 +110,6 @@ class AddressSpace {
   // sides' writable anon pages downgraded to read-only CoW).
   StatusOr<std::unique_ptr<AddressSpace>> ForkCow(uint32_t child_asid);
 
-  // Satisfies a copy by aliasing instead of moving bytes (remap tier,
-  // DESIGN.md §11): points the PTEs of [dst_va, dst_va+length) at the frames
-  // backing [src_va, src_va+length) and write-protects both sides CoW-style,
-  // exactly like a fork of just that range. Both addresses must be
-  // page-aligned and `length` a page multiple; both ranges must lie in
-  // private, non-huge mappings with no pinned pages, the destination mapping
-  // must be writable, and same-space ranges must not overlap. Absent source
-  // pages are faulted in (zero-fill) first; absent destination pages are
-  // allowed. Validation happens before any PTE is touched, so on error no
-  // partial alias is left behind. Fires invalidation listeners for both
-  // ranges and charges remap + shootdown cycles to `ctx`.
-  Status AliasCowRange(uint64_t dst_va, uint64_t src_va, size_t length, ExecContext* ctx);
-  // Cross-space variant: source range lives in `src_space` (which must share
-  // this space's PhysicalMemory). `AliasCowRange` is the same-space shorthand.
-  Status AliasCowRangeFrom(AddressSpace& src_space, uint64_t dst_va, uint64_t src_va,
-                           size_t length, ExecContext* ctx);
-
   void SetCowCopyFn(PageCopyFn fn) { cow_copy_ = std::move(fn); }
 
   // --- Fused-IPC source write-protection (DESIGN.md §12) ----------------------
@@ -138,7 +121,7 @@ class AddressSpace {
   // in manual mode, yield to the copier threads in threaded mode) — until the
   // lock is released. Reads are unaffected, as is the engine itself: the
   // locked range is only ever the *source* of the in-flight copy, and the
-  // engine's internal remap/fault paths do not route through the public write
+  // engine's internal fault paths do not route through the public write
   // entry points. Returns a token for UnlockRangeForCopy.
   int LockRangeForCopy(uint64_t va, size_t length, std::function<void()> resolver);
   void UnlockRangeForCopy(int token);
@@ -157,10 +140,6 @@ class AddressSpace {
 
   uint64_t minor_faults() const { return minor_faults_; }
   uint64_t cow_faults() const { return cow_faults_; }
-  // CoW breaks whose block contained at least one remap-aliased page, i.e.
-  // lazily materialized copies of the remap tier. Atomic because the engine
-  // samples it while app threads fault concurrently.
-  uint64_t alias_cow_breaks() const { return alias_cow_breaks_.load(std::memory_order_relaxed); }
   uint64_t resident_pages() const;
 
  private:
@@ -169,7 +148,6 @@ class AddressSpace {
     bool present = false;
     bool writable = false;
     bool cow = false;
-    bool aliased = false;  // CoW share came from AliasCowRange, not fork
     uint16_t pin_count = 0;
   };
 
@@ -215,7 +193,6 @@ class AddressSpace {
 
   uint64_t minor_faults_ = 0;
   uint64_t cow_faults_ = 0;
-  std::atomic<uint64_t> alias_cow_breaks_{0};
 
   // Fused-IPC source locks (guarded by mu_; the count is a lock-free fast
   // path so unrelated writes never take mu_ twice).

@@ -6,9 +6,9 @@
 // mode (randomized free-list — stresses the dispatcher's subtask splitting,
 // Fig. 7-b, since DMA needs physical contiguity).
 //
-// Every address space shares one pool, and faults, CoW breaks and remap
-// aliases of different processes run on different threads: reference counts
-// are atomic, and the free list sits behind a mutex.
+// Every address space shares one pool, and faults, CoW breaks and forks of
+// different processes run on different threads: reference counts are atomic,
+// and the free list sits behind a mutex.
 #ifndef COPIER_SRC_SIMOS_PHYS_MEMORY_H_
 #define COPIER_SRC_SIMOS_PHYS_MEMORY_H_
 

@@ -96,7 +96,6 @@ TEST(DmaChannelPool, SingleChannelPoolMatchesRawEngine) {
 
 TEST(AsyncDma, RoundsParkAndStallsDisappear) {
   core::CopierConfig config;  // defaults: 4 channels, async completion on
-  config.enable_remap_tier = false;  // force bytes onto the DMA path
   CopierStack stack(config);
   const size_t n = 512 * kKiB;
   const uint64_t src = stack.Map(n);
@@ -118,7 +117,6 @@ TEST(AsyncDma, BlockingAblationRestoresEndOfRoundWaits) {
   core::CopierConfig config;
   config.dma_channel_count = 1;
   config.enable_async_dma_completion = false;
-  config.enable_remap_tier = false;  // force bytes onto the DMA path
   CopierStack stack(config);
   const size_t n = 512 * kKiB;
   const uint64_t src = stack.Map(n);
@@ -145,7 +143,6 @@ TEST(AsyncDma, MultiChannelShortensLargeCopyMakespan) {
   auto elapsed = [](size_t channels) {
     core::CopierConfig config;
     config.dma_channel_count = channels;
-    config.enable_remap_tier = false;  // force bytes onto the DMA path
     CopierStack stack(config);
     const size_t n = 4 * kMiB;
     const uint64_t src = stack.Map(n);
@@ -169,7 +166,6 @@ TEST(AsyncDma, RingFullFallbackCountsAndStaysCorrect) {
   core::CopierConfig config;
   config.dma_channel_count = 1;
   config.dma_ring_slots = 1;  // one in-flight batch: the next round bounces
-  config.enable_remap_tier = false;  // force bytes onto the DMA path
   CopierStack stack(config);
   const size_t n = 256 * kKiB;
   std::vector<std::pair<uint64_t, uint64_t>> copies;

@@ -10,6 +10,8 @@
 // A second, real-threaded test (the TSan target in CI) races kernel-client
 // writers across a 4-engine pool and asserts WAW writes stay totally ordered:
 // the shared buffer ends uniform — one writer's full pattern, never a torn mix.
+// A third runs a kernel writer against the owners' own copies on a shared
+// domain and checks the images against an in-order replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -455,6 +457,113 @@ TEST(EnginePoolLedger, OwnerPrivateWriteSurvivesSharedTransition) {
   service.DrainAll();
   EXPECT_EQ(ReadAll(proc->mem(), *arena, kLen), want)
       << "foreign lower-gseq write overwrote the owner's newer private write";
+}
+
+
+// --- shared domain: kernel writer vs the owner's own copies ------------------
+//
+// Two apps on a 2-engine pool; a kernel writer streams gseq-stamped writes
+// into app0's arena, making the domain shared, while both apps run
+// page-aligned own-space copies strip -> work (RAW against the writer). The
+// engines are pumped round-robin between batches. The images must equal an
+// in-order replay of the stream, and the writer's KFUNCs fire in submission
+// order.
+
+TEST(EnginePoolSharedDomain, WriterAndOwnCopiesMatchInOrderReplay) {
+  constexpr size_t kPoolApps = 2;
+  constexpr size_t kStrip = 16 * kKiB;    // writer-fed strip at the arena head
+  constexpr size_t kPoolWork = 64 * kKiB;
+  constexpr size_t kBytes = kStrip + kPoolWork;
+  for (const uint64_t seed : {41u, 42u}) {
+    SCOPED_TRACE(seed);
+    core::CopierConfig config;
+    config.enable_engine_pool = true;
+    config.engine_count = 2;
+    simos::SimKernel kernel;
+    core::CopierService::Options options;
+    options.config = config;
+    core::CopierService service(std::move(options));
+    core::CopierLinux glue(&service, &kernel);
+    glue.Install();
+
+    std::vector<PoolApp> apps(kPoolApps);
+    std::vector<std::vector<uint8_t>> models(kPoolApps);
+    for (size_t a = 0; a < kPoolApps; ++a) {
+      apps[a].proc = kernel.CreateProcess("xapp" + std::to_string(a));
+      apps[a].client = service.AttachProcess(apps[a].proc);
+      apps[a].lib = std::make_unique<lib::CopierLib>(apps[a].client, &service);
+      auto arena = apps[a].proc->mem().MapAnonymous(kBytes, "arena", true);
+      ASSERT_TRUE(arena.ok());
+      apps[a].arena = *arena;
+      models[a] = PatternBytes(kBytes, seed * 17 + a);
+      ASSERT_TRUE(apps[a].proc->mem().WriteBytes(*arena, models[a].data(), kBytes).ok());
+    }
+    core::Client* writer = service.AttachKernelClient("xwriter");
+
+    std::vector<int> kfunc_log;
+    std::vector<std::unique_ptr<std::vector<uint8_t>>> keep_alive;
+    Rng rng(seed * 104729 + 5);
+    int next_id = 0;
+    for (int batch = 0; batch < 10; ++batch) {
+      // Writer: k-mode write into app0's strip (foreign-space dst -> the
+      // domain is shared, the apps' own copies join the ledger).
+      {
+        const size_t len = kPageSize * (1 + rng.Below(2));
+        const size_t off = AlignDown(rng.Below(kStrip - len), kPageSize);
+        auto src = std::make_unique<std::vector<uint8_t>>(len);
+        for (auto& b : *src) {
+          b = static_cast<uint8_t>(rng.Next());
+        }
+        core::CopyQueueEntry entry;
+        entry.task.dst = core::MemRef::User(apps[0].client->space(), apps[0].arena + off);
+        entry.task.src = core::MemRef::Kernel(src->data());
+        entry.task.length = len;
+        entry.task.gseq = service.AllocateGlobalSeq();
+        const int id = next_id++;
+        entry.task.handler =
+            core::PostHandler::KernelFunc([&kfunc_log, id](Cycles) { kfunc_log.push_back(id); });
+        EXPECT_TRUE(writer->default_pair().kernel.copy_q.TryPush(std::move(entry)));
+        std::copy(src->begin(), src->end(), models[0].begin() + off);
+        keep_alive.push_back(std::move(src));
+      }
+      // Apps: page-aligned own-space copies strip -> work.
+      for (size_t a = 0; a < kPoolApps; ++a) {
+        const size_t len = kPageSize * (1 + rng.Below(3));  // < kStrip, so Below() below is sound
+        const size_t dst_off = kStrip + AlignDown(rng.Below(kPoolWork - len), kPageSize);
+        const size_t src_off = AlignDown(rng.Below(kStrip - len), kPageSize);
+        apps[a].lib->amemcpy(apps[a].arena + dst_off, apps[a].arena + src_off, len);
+        std::memmove(models[a].data() + dst_off, models[a].data() + src_off, len);
+      }
+      // Ingest every queue, then drive both engines round-robin.
+      const auto ingest = [&](core::Client* c, bool kernel_q) {
+        auto& pair = c->default_pair();
+        while (!(kernel_q ? pair.kernel.copy_q.Empty() : pair.user.copy_q.Empty())) {
+          service.Serve(*c, 0);
+        }
+      };
+      ingest(writer, true);
+      for (PoolApp& app : apps) {
+        ingest(app.client, false);
+      }
+      const size_t pumps = 1 + rng.Below(2);
+      for (size_t p = 0; p < pumps; ++p) {
+        for (size_t e = 0; e < service.engine_count(); ++e) {
+          service.RunOnce(e);
+        }
+      }
+    }
+    for (PoolApp& app : apps) {
+      EXPECT_TRUE(app.lib->csync_all().ok());
+    }
+    service.DrainAll();
+    for (size_t a = 0; a < kPoolApps; ++a) {
+      EXPECT_EQ(ReadAll(apps[a].proc->mem(), apps[a].arena, kBytes), models[a]) << "app " << a;
+    }
+    std::vector<int> submission_order(next_id);
+    std::iota(submission_order.begin(), submission_order.end(), 0);
+    EXPECT_EQ(kfunc_log, submission_order);
+    EXPECT_GT(service.TotalStats().cross_dep_probes, 0u) << "the domain must turn shared";
+  }
 }
 
 }  // namespace

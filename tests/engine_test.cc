@@ -1,6 +1,7 @@
 // Engine-level tests: cross-queue barriers (order dependency), out-of-order
 // promotion, piggyback dispatch, ATCache, scheduler/cgroup fairness, the
-// threaded service mode, and a long completed-write log behind a held head.
+// threaded service mode, a long completed-write log behind a held head, and a
+// randomized chain/abort/promotion workload checked against a memcpy replay.
 #include "src/core/engine.h"
 
 #include <gtest/gtest.h>
@@ -96,9 +97,7 @@ TEST(Promotion, SyncTaskOvertakesHeadOfLine) {
 }
 
 TEST(Dispatch, LargeTaskUsesBothUnits) {
-  core::CopierConfig config;
-  config.enable_remap_tier = false;  // force bytes onto the AVX+DMA path
-  CopierStack stack(config);
+  CopierStack stack;
   const size_t n = 256 * kKiB;
   const uint64_t src = stack.Map(n);
   const uint64_t dst = stack.Map(n);
@@ -164,9 +163,7 @@ TEST(Dispatch, FragmentedMemorySplitsSubtasks) {
 }
 
 TEST(ATCacheTest, HitsOnBufferReuse) {
-  core::CopierConfig config;
-  config.enable_remap_tier = false;  // reused translations need moved bytes
-  CopierStack stack(config);
+  CopierStack stack;
   const size_t n = 16 * kKiB;
   const uint64_t src = stack.Map(n);
   const uint64_t dst = stack.Map(n);
@@ -471,6 +468,174 @@ TEST(LongCompletedWriteLog, LazyHeadHeldPastTimeoutMatchesMemcpy) {
     EXPECT_TRUE(stack.client->completed_writes.empty());
   }
 }
+
+
+// Randomized raw-queue workload: page-aligned and unaligned copies,
+// overlapping work->work chains, lib copies that csync promotes out of order,
+// copies aborted mid-flight, and writes after completion to both the
+// promoted destinations and the source pool. The final image and the KFUNC
+// order must equal an in-order memmove replay of the same stream; an aborted
+// copy's bytes may land partially, so each of its destination bytes must hold
+// either the old value or the copied one.
+constexpr size_t kDiffSrcPool = 64 * kKiB;
+constexpr size_t kDiffWork = 64 * kKiB;
+constexpr size_t kDiffAbortSlot = 2 * kPageSize;
+constexpr size_t kDiffAbortSlots = 16;
+constexpr size_t kDiffArena = kDiffSrcPool + kDiffWork + kDiffAbortSlots * kDiffAbortSlot;
+
+class MemcpyDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemcpyDifferential, ChainsAbortsAndPromotionsMatchInOrderReplay) {
+  const uint64_t seed = GetParam();
+  CopierStack stack;
+  const uint64_t arena = stack.Map(kDiffArena, "arena");
+  std::vector<uint8_t> model = PatternBytes(kDiffArena, seed);
+  ASSERT_TRUE(stack.proc->mem().WriteBytes(arena, model.data(), kDiffArena).ok());
+  // Per abort-slot byte, the value the aborted copy would have written.
+  std::vector<uint8_t> abort_landed(model.begin() + kDiffSrcPool + kDiffWork, model.end());
+  // Source ranges read by copies submitted since the last full settle: a
+  // write overlapping one of them could race a copy that has not read yet.
+  std::vector<std::pair<size_t, size_t>> unsettled_reads;
+  const auto write = [&](size_t off, size_t len, uint64_t pattern_seed) {
+    const std::vector<uint8_t> bytes = PatternBytes(len, pattern_seed);
+    ASSERT_TRUE(stack.proc->mem().WriteBytes(arena + off, bytes.data(), len).ok());
+    std::copy(bytes.begin(), bytes.end(), model.begin() + off);
+  };
+
+  std::vector<int> kfunc_log;
+  Rng rng(seed * 7919 + 3);
+  int next_id = 0;
+  size_t abort_slot = 0;
+  size_t promoted_writes = 0;
+  const auto push_copy = [&](size_t dst_off, size_t src_off, size_t len) {
+    core::CopyQueueEntry entry;
+    entry.task.dst = core::MemRef::User(stack.client->space(), arena + dst_off);
+    entry.task.src = core::MemRef::User(stack.client->space(), arena + src_off);
+    entry.task.length = len;
+    const int id = next_id++;
+    entry.task.handler =
+        core::PostHandler::KernelFunc([&kfunc_log, id](Cycles) { kfunc_log.push_back(id); });
+    EXPECT_TRUE(stack.client->default_pair().user.copy_q.TryPush(std::move(entry)));
+    unsettled_reads.emplace_back(src_off, len);
+  };
+
+  for (int batch = 0; batch < 14; ++batch) {
+    // Copies into the work region: mostly page-aligned, some unaligned, some
+    // chained work->work.
+    for (int i = 0; i < 3; ++i) {
+      size_t len;
+      size_t dst_off;
+      size_t src_off;
+      if (!rng.OneIn(3)) {
+        len = kPageSize * (1 + rng.Below(8));
+        dst_off = kDiffSrcPool + AlignDown(rng.Below(kDiffWork - len), kPageSize);
+        src_off = rng.OneIn(4) ? kDiffSrcPool + AlignDown(rng.Below(kDiffWork - len), kPageSize)
+                               : AlignDown(rng.Below(kDiffSrcPool - len), kPageSize);
+      } else {
+        len = 200 + rng.Below(6 * kKiB);
+        dst_off = kDiffSrcPool + rng.Below(kDiffWork - len);
+        src_off = rng.Below(kDiffSrcPool - len);
+      }
+      if (RangesOverlap(dst_off, len, src_off, len)) {
+        continue;
+      }
+      push_copy(dst_off, src_off, len);
+      std::memmove(model.data() + dst_off, model.data() + src_off, len);
+    }
+    // A lib-registered submission rides along so the csync below has a real
+    // producing copy to find and promote.
+    if (rng.OneIn(2)) {
+      const size_t len = kPageSize * (1 + rng.Below(4));
+      const size_t dst_off = kDiffSrcPool + AlignDown(rng.Below(kDiffWork - len), kPageSize);
+      const size_t src_off = AlignDown(rng.Below(kDiffSrcPool - len), kPageSize);
+      stack.lib->amemcpy(arena + dst_off, arena + src_off, len);
+      unsettled_reads.emplace_back(src_off, len);
+      std::memmove(model.data() + dst_off, model.data() + src_off, len);
+    }
+    // Occasional copy into a fresh abort slot, aborted mid-flight below.
+    uint64_t abort_addr = 0;
+    if (rng.OneIn(2) && abort_slot < kDiffAbortSlots) {
+      const size_t slot_off = kDiffSrcPool + kDiffWork + abort_slot * kDiffAbortSlot;
+      const size_t src_off = AlignDown(rng.Below(kDiffSrcPool - kDiffAbortSlot), kPageSize);
+      std::copy_n(model.begin() + src_off, kDiffAbortSlot,
+                  abort_landed.begin() + abort_slot * kDiffAbortSlot);
+      ++abort_slot;
+      abort_addr = arena + slot_off;
+      push_copy(slot_off, src_off, kDiffAbortSlot);
+    }
+    // Ingest with zero-budget serves so aborts see their victims pending.
+    while (!stack.client->default_pair().user.copy_q.Empty()) {
+      stack.service->Serve(*stack.client, 0);
+    }
+    if (abort_addr != 0) {
+      core::SyncTask sync;
+      sync.kind = core::SyncTask::Kind::kAbort;
+      sync.addr = core::MemRef::User(stack.client->space(), abort_addr);
+      sync.length = kDiffAbortSlot;
+      EXPECT_TRUE(stack.client->default_pair().user.sync_q.TryPush(std::move(sync)));
+    }
+    // Partial execution pumps.
+    const size_t pumps = rng.Below(3);
+    for (size_t p = 0; p < pumps; ++p) {
+      stack.service->Serve(*stack.client, 8 * kKiB);
+    }
+    // Sync promotion of a random work subrange, then a write to the promoted
+    // destination — unless a pending copy may still read those bytes. csync
+    // waits only for lib-registered copies; the raw copies producing the
+    // range are promoted by a kPromote sync task.
+    if (rng.OneIn(2)) {
+      const size_t len = kPageSize * (1 + rng.Below(4));
+      const size_t off = kDiffSrcPool + AlignDown(rng.Below(kDiffWork - len), kPageSize);
+      EXPECT_TRUE(stack.lib->csync(arena + off, len).ok());
+      core::SyncTask promote;
+      promote.addr = core::MemRef::User(stack.client->space(), arena + off);
+      promote.length = len;
+      EXPECT_TRUE(stack.client->default_pair().user.sync_q.TryPush(std::move(promote)));
+      stack.service->Serve(*stack.client, 0);
+      ASSERT_TRUE(std::equal(model.begin() + off, model.begin() + off + len,
+                             ReadAll(stack.proc->mem(), arena + off, len).begin()))
+          << "batch " << batch << " read after csync";
+      const bool read_pending =
+          std::any_of(unsettled_reads.begin(), unsettled_reads.end(), [&](const auto& r) {
+            return RangesOverlap(r.first, r.second, off, kPageSize);
+          });
+      if (rng.OneIn(2) && !read_pending) {
+        write(off, kPageSize, seed * 131 + batch);
+        ++promoted_writes;
+      }
+    }
+    // Periodically settle everything and dirty the source pool; the landed
+    // copies must keep their bytes.
+    if (rng.OneIn(3)) {
+      EXPECT_TRUE(stack.lib->csync_all().ok());
+      stack.service->DrainAll();
+      unsettled_reads.clear();
+      write(AlignDown(rng.Below(kDiffSrcPool - kPageSize), kPageSize), kPageSize,
+            seed * 31 + batch);
+    }
+  }
+  EXPECT_TRUE(stack.lib->csync_all().ok());
+  stack.service->DrainAll();
+
+  const std::vector<uint8_t> image = ReadAll(stack.proc->mem(), arena, kDiffArena);
+  const size_t slots = kDiffSrcPool + kDiffWork;
+  EXPECT_TRUE(std::equal(image.begin(), image.begin() + slots, model.begin()));
+  for (size_t i = 0; i < abort_slot * kDiffAbortSlot; ++i) {
+    ASSERT_TRUE(image[slots + i] == model[slots + i] || image[slots + i] == abort_landed[i])
+        << "abort slot " << i / kDiffAbortSlot << " byte " << i % kDiffAbortSlot;
+  }
+  EXPECT_TRUE(std::equal(image.begin() + slots + abort_slot * kDiffAbortSlot, image.end(),
+                         model.begin() + slots + abort_slot * kDiffAbortSlot));
+  std::vector<int> submission_order(next_id);
+  std::iota(submission_order.begin(), submission_order.end(), 0);
+  EXPECT_EQ(kfunc_log, submission_order);
+  const core::Engine::Stats stats = stack.service->TotalStats();
+  EXPECT_GT(stats.tasks_aborted, 0u) << "workload must abort a copy";
+  EXPECT_GT(stats.sync_promotions, 0u) << "workload must promote a copy";
+  EXPECT_GT(promoted_writes, 0u) << "workload must write a promoted destination";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemcpyDifferential, ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace copier::test

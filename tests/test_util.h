@@ -16,13 +16,19 @@
 
 namespace copier::test {
 
-// Fills `n` bytes at `va` with a deterministic pattern derived from `seed`.
-inline void FillPattern(simos::AddressSpace& space, uint64_t va, size_t n, uint64_t seed) {
+// `n` bytes of a deterministic pattern derived from `seed`.
+inline std::vector<uint8_t> PatternBytes(size_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<uint8_t> bytes(n);
   for (auto& b : bytes) {
     b = static_cast<uint8_t>(rng.Next());
   }
+  return bytes;
+}
+
+// Fills `n` bytes at `va` with PatternBytes(n, seed).
+inline void FillPattern(simos::AddressSpace& space, uint64_t va, size_t n, uint64_t seed) {
+  const std::vector<uint8_t> bytes = PatternBytes(n, seed);
   ASSERT_TRUE(space.WriteBytes(va, bytes.data(), n).ok());
 }
 
