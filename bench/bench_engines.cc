@@ -11,6 +11,9 @@
 // actual concurrency. Every configuration must land byte-identical images
 // (per-client FNV-1a checksums against the 1-engine run).
 //
+// Below the floor the bench prints a "scaling gate NO" line, which
+// scripts/bench_smoke.sh greps for.
+//
 // --json additionally writes BENCH_engines.json for scripts/bench_smoke.sh.
 #include "bench/bench_util.h"
 
@@ -31,6 +34,7 @@ constexpr size_t kClients = 8;
 constexpr size_t kSlots = 12;                // copies per client per run
 constexpr size_t kSlotBytes = 256 * kKiB;    // virtual-time sweep copy size
 constexpr size_t kThreadedSlotBytes = 64 * kKiB;
+constexpr double kScalingFloor = 3.0;  // 1 -> 8 engines, virtual sweep
 
 struct EngineResult {
   size_t engines = 0;
@@ -232,6 +236,10 @@ void Run(int argc, char** argv) {
   const double speedup_8x = static_cast<double>(base.busy_max) / sweep.back().busy_max;
   std::printf("\nscaling 1 -> 8 engines: %.2fx aggregate GiB/s (acceptance floor 3x)\n",
               speedup_8x);
+  if (speedup_8x < kScalingFloor) {
+    std::printf("scaling gate NO (1 -> 8 engines: %.2fx, floor %.1fx)\n", speedup_8x,
+                kScalingFloor);
+  }
 
   PrintBanner("Engine-pool sweep (threaded): one OS thread per engine");
   std::vector<EngineResult> threaded;

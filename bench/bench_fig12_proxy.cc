@@ -89,8 +89,8 @@ void RunThroughput(const hw::TimingModel& t) {
     const double zio = Mps(ProxySpan(t, body, apps::Mode::kZio, {}));
     table.AddRow({TextTable::Bytes(body), TextTable::Num(base / 1e3),
                   TextTable::Num(copier / 1e3), TextTable::Num(zio / 1e3),
-                  "+" + TextTable::Num((copier / base - 1) * 100, 1) + "%",
-                  "+" + TextTable::Num((zio / base - 1) * 100, 1) + "%"});
+                  TextTable::Pct((copier / base - 1) * 100),
+                  TextTable::Pct((zio / base - 1) * 100)});
   }
   table.Print();
 }
@@ -237,9 +237,9 @@ void RunBreakdown(const hw::TimingModel& t) {
     const double h = Mps(ProxySpan(t, body, apps::Mode::kCopier, with_hw));
     const double f = Mps(ProxySpan(t, body, apps::Mode::kCopier, {}));
     table.AddRow({TextTable::Bytes(body),
-                  "+" + TextTable::Num((a / base - 1) * 100, 1) + "%",
-                  "+" + TextTable::Num((h / base - 1) * 100, 1) + "%",
-                  "+" + TextTable::Num((f / base - 1) * 100, 1) + "%"});
+                  TextTable::Pct((a / base - 1) * 100),
+                  TextTable::Pct((h / base - 1) * 100),
+                  TextTable::Pct((f / base - 1) * 100)});
   }
   table.Print();
 }

@@ -137,7 +137,7 @@ void Run(const hw::TimingModel& t) {
     const double copier = AvcodecFrameUs(t, apps::Mode::kCopier, &busy);
     TextTable table({"metric", "baseline", "Copier", "delta"});
     table.AddRow({"frame latency (us)", TextTable::Num(base), TextTable::Num(copier),
-                  "-" + TextTable::Num((1 - copier / base) * 100, 1) + "%"});
+                  TextTable::Pct((copier / base - 1) * 100)});
     table.AddRow({"copier-core busy fraction (energy proxy)", "0", TextTable::Num(busy, 3),
                   "+" + TextTable::Num(busy * 100, 2) + "% of a core"});
     table.Print();

@@ -7,7 +7,8 @@
 # received bytes checked against the source, gated on 1 entry + 1 doorbell
 # per send), BENCH_dma_channels.json (async multi-channel DMA sweep vs the
 # blocking single-channel baseline, gated at >=1.5x from 1 to 4 channels),
-# BENCH_engines.json (engine-pool sweep, 1 -> 8 copier engines),
+# BENCH_engines.json (engine-pool sweep, 1 -> 8 copier engines, gated at
+# >=3x aggregate scaling),
 # BENCH_ipc_fuse.json (fused single-hop IPC vs the two-step ablation, gated
 # at >=1.4x on the 1 MiB socket row, >=1.5x on >=64 KiB binder parcels,
 # >=90% fused rate on the pipelined qd4 rows, and >=1.8x on the
@@ -16,8 +17,8 @@
 # serving sweep: p50/p99/p999 vs offered load, overload admission policies) at
 # the repo root; fails if any sweep reports non-identical memory images, the
 # queue-depth sweep is not flat, a send needs more than one batch, the DMA
-# channel scaling or a gated fuse row misses its speedup floor, or the serving
-# sweep's p999 knee fails to move right under load shedding.
+# channel or engine-pool scaling or a gated fuse row misses its speedup floor,
+# or the serving sweep's p999 knee fails to move right under load shedding.
 #
 # Usage: scripts/bench_smoke.sh [quick]
 #   quick — CI mode: the vectored-submission sweep runs its two-size subset
@@ -66,7 +67,7 @@ fi
 echo
 "$BUILD_DIR"/bench/bench_engines --json | tee /tmp/bench_engines.out
 if grep -q ' NO ' /tmp/bench_engines.out; then
-  echo "bench_engines: pooled image differs from the 1-engine run" >&2
+  echo "bench_engines: pooled image differs from the 1-engine run or 1 -> 8 engine scaling is below 3x" >&2
   exit 1
 fi
 

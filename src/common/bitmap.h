@@ -38,6 +38,22 @@ class AtomicBitmap {
     words_storage_[bit >> 6].fetch_or(1ull << (bit & 63), std::memory_order_release);
   }
 
+  // Sets every bit in [first, last] with release semantics, one atomic OR
+  // per 64-bit word.
+  void SetRange(size_t first, size_t last) {
+    COPIER_DCHECK(first <= last && last < num_bits_);
+    size_t word = first >> 6;
+    const size_t last_word = last >> 6;
+    uint64_t mask = ~0ull << (first & 63);
+    while (word < last_word) {
+      words_storage_[word].fetch_or(mask, std::memory_order_release);
+      mask = ~0ull;
+      ++word;
+    }
+    words_storage_[word].fetch_or(mask & (~0ull >> (63 - (last & 63))),
+                                  std::memory_order_release);
+  }
+
   void Reset(size_t bit) {
     COPIER_DCHECK(bit < num_bits_);
     words_storage_[bit >> 6].fetch_and(~(1ull << (bit & 63)), std::memory_order_release);

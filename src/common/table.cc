@@ -12,6 +12,11 @@ std::string TextTable::Num(double value, int precision) {
   return buf;
 }
 
+std::string TextTable::Pct(double percent, int precision) {
+  const std::string num = Num(percent, precision);
+  return (num[0] == '-' ? num : "+" + num) + "%";
+}
+
 std::string TextTable::Bytes(uint64_t bytes) {
   char buf[32];
   if (bytes >= 1024 * 1024 && bytes % (1024 * 1024) == 0) {

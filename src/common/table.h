@@ -17,6 +17,8 @@ class TextTable {
 
   // Convenience: formats doubles with the given precision.
   static std::string Num(double value, int precision = 2);
+  // Signed percentage: "+3.4%" or "-3.4%", the sign taken from the value.
+  static std::string Pct(double percent, int precision = 1);
   static std::string Bytes(uint64_t bytes);  // "4KiB", "256KiB", "1MiB", ...
 
   std::string ToString() const;

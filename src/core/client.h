@@ -100,6 +100,9 @@ struct PendingTask {
   // in segment order — the op-list is a stream (skbs of one syscall), so the
   // firing prefix only advances when every earlier segment has landed.
   std::vector<size_t> sg_remaining;
+  // End offset of each segment within the task (prefix sums of the lengths),
+  // so crediting a landed range starts at its first segment.
+  std::vector<size_t> sg_ends;
   std::vector<bool> sg_fired;
   size_t sg_next_fire = 0;
 

@@ -72,11 +72,15 @@ class Descriptor {
     }
     const size_t segments = num_segments();
     const size_t first = SegmentOf(offset);
-    const size_t last = SegmentOf(offset + n - 1);
-    for (size_t seg = first; seg <= last && seg < segments; ++seg) {
-      ready_times_[seg].store(when, std::memory_order_relaxed);
-      bits_.Set(seg);
+    if (first >= segments) {
+      return;
     }
+    const size_t last = std::min(SegmentOf(offset + n - 1), segments - 1);
+    for (size_t seg = first; seg <= last; ++seg) {
+      ready_times_[seg].store(when, std::memory_order_relaxed);
+    }
+    // The release word stores publish the ready times above with the bits.
+    bits_.SetRange(first, last);
   }
 
   bool RangeReady(size_t offset, size_t n) const {

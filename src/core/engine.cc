@@ -251,8 +251,12 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   if (pending->task.sg != nullptr && valid.ok()) {
     const auto& segs = pending->task.sg->segs;
     pending->sg_remaining.resize(segs.size());
+    pending->sg_ends.resize(segs.size());
+    size_t seg_end = 0;
     for (size_t i = 0; i < segs.size(); ++i) {
       pending->sg_remaining[i] = segs[i].length;
+      seg_end += segs[i].length;
+      pending->sg_ends[i] = seg_end;
     }
     pending->sg_fired.assign(segs.size(), false);
     if (pending->task.sg->bookkeeping) {
@@ -1621,17 +1625,19 @@ void Engine::MarkProgress(Client& client, PendingTask& task, size_t offset, size
 
 void Engine::CreditSgSegments(Client& client, PendingTask& task, size_t offset, size_t length,
                               Cycles when) {
-  (void)client;
-  const auto& segs = task.task.sg->segs;
+  const std::vector<size_t>& ends = task.sg_ends;
   const size_t end = offset + length;
-  size_t seg_start = 0;
-  for (size_t i = 0; i < segs.size() && seg_start < end; ++i) {
-    const size_t seg_end = seg_start + segs[i].length;
-    if (seg_end > offset) {
-      const size_t ovl = std::min(end, seg_end) - std::max(offset, seg_start);
-      task.sg_remaining[i] -= std::min(ovl, task.sg_remaining[i]);
+  // Segments ending at or before `offset` hold none of these bytes; start at
+  // the first one past it (zero-length segments are never credited: they
+  // start fully landed).
+  for (size_t i = std::upper_bound(ends.begin(), ends.end(), offset) - ends.begin();
+       i < ends.size(); ++i) {
+    const size_t seg_start = i == 0 ? 0 : ends[i - 1];
+    if (seg_start >= end) {
+      break;
     }
-    seg_start = seg_end;
+    const size_t ovl = std::min(end, ends[i]) - std::max(offset, seg_start);
+    task.sg_remaining[i] -= std::min(ovl, task.sg_remaining[i]);
   }
   // Fire the longest fully-credited prefix, IN SEGMENT ORDER. Progress can
   // land out of order within a round (DMA takes the tail while the CPU

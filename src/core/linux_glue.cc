@@ -336,6 +336,36 @@ void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t lengt
   simos::AddressSpace& space = proc->mem();
   const uint64_t first = PageBase(va);
   const uint64_t last = PageBase(va + length - 1);
+  const size_t window_pages = (last - first) / kPageSize + 1;
+  const size_t span = window_pages * kPageSize;
+  const Cycles per_page = service_->timing().va_translate_cycles_per_page;
+  // Only an attached space's mapping changes reach the engines' caches, so
+  // only its registrations are remembered across posts.
+  const bool attached = ClientFor(*proc) != nullptr;
+  const auto warm_everywhere = [&] {
+    for (size_t i = 0; i < service_->engine_count(); ++i) {
+      if (!service_->engine(i).atcache().IsWarm(space.asid(), first, span)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (attached && warm_everywhere()) {
+    // Re-post of an unchanged registration: every page still holds a
+    // writable translation on every engine. Make the copy-lock waits the
+    // walk's TranslateWrite calls would make, charge what the walk charges,
+    // and skip the walk. A wait that pumps the service may change mappings,
+    // so the range is checked again after it.
+    if (space.WriteLockedForCopy(first, span)) {
+      for (uint64_t page = first; page <= last; page += kPageSize) {
+        space.WaitForCopyLocks(page, 1);
+      }
+    }
+    if (warm_everywhere()) {
+      ChargeCtx(ctx, per_page * window_pages);
+      return;
+    }
+  }
   size_t pages = 0;
   for (uint64_t page = first; page <= last; page += kPageSize) {
     auto pfn_or = space.TranslateWrite(page, ctx);
@@ -348,7 +378,13 @@ void CopierLinux::RegisterWindow(simos::Process* proc, uint64_t va, size_t lengt
     }
     ++pages;
   }
-  ChargeCtx(ctx, service_->timing().va_translate_cycles_per_page * pages);
+  ChargeCtx(ctx, per_page * pages);
+  // A window with an unmapped tail is never warm: every post walks it again.
+  if (attached && pages == window_pages) {
+    for (size_t i = 0; i < service_->engine_count(); ++i) {
+      service_->engine(i).atcache().MarkWarm(space.asid(), first, span);
+    }
+  }
 }
 
 Status CopierLinux::CopyFused(const simos::FusedCopyOp& op) {
@@ -415,7 +451,7 @@ Status CopierLinux::CopyFused(const simos::FusedCopyOp& op) {
   sg->prefix = op.src_prefix;
   sg->segs.reserve(op.chunks.size());
   for (size_t i = 0; i < op.chunks.size(); ++i) {
-    std::function<void(Cycles)> fn = op.chunks[i].on_complete;
+    std::function<void(Cycles)> fn = std::move(op.chunks[i].on_complete);
     if (i + 1 == op.chunks.size()) {
       if (op.protect_src) {
         fn = [src_space, lock_token, inner = std::move(fn)](Cycles when) {

@@ -61,6 +61,10 @@ class CopierLinux : public simos::SimKernel::TrapHooks, public simos::KernelCopy
   void NoteFuseEvent(simos::FuseEvent event) override;
   // Pre-translates the posted window into every engine's ATCache (one walk,
   // one shared registration table) so fused DMA lands on warm translations.
+  // The registration is cached: a re-post of a window that is still warm on
+  // every engine (no unmap, CoW break, fork or detach since its last walk)
+  // skips the walk but makes the same copy-lock waits and charges the same
+  // cycles. See DESIGN.md §12.
   void RegisterWindow(simos::Process* proc, uint64_t va, size_t length,
                       ExecContext* ctx) override;
   Status SyncKernel(simos::Process* proc, ExecContext* ctx) override;

@@ -104,6 +104,12 @@ void CopierService::RemoveSpaceListeners(Client& client) {
     client.space()->RemoveInvalidationListener(token);
   }
   client.atcache_tokens.clear();
+  // Without the listener no later mapping change reaches the engines, so
+  // their translations (and warm ranges) for this space go now: a reattached
+  // client must not copy through frames the space no longer maps.
+  for (auto& engine : engines_) {
+    engine->atcache().Invalidate(client.space()->asid(), 0, SIZE_MAX);
+  }
 }
 
 Client* CopierService::AttachProcess(simos::Process* process, Cgroup* cgroup) {

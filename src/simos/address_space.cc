@@ -42,6 +42,28 @@ StatusOr<uint64_t> AddressSpace::MapAnonymous(size_t length, std::string name, b
     length = AlignUp(length, kHugePageSize);
   }
   const uint64_t base = LockedAllocateVaRange(length);
+  LockedMapAnonymous(base, length, std::move(name), populate, huge);
+  return base;
+}
+
+StatusOr<uint64_t> AddressSpace::MapAnonymousAt(uint64_t va, size_t length, std::string name,
+                                                bool populate) {
+  if (length == 0 || PageOffset(va) != 0) {
+    return InvalidArgument("fixed mapping needs a page-aligned VA and a non-zero length");
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t end = va + AlignUp(length, kPageSize);
+  auto next = vmas_.lower_bound(va);
+  if (LockedFindVma(va) != nullptr || (next != vmas_.end() && next->first < end)) {
+    return FailedPrecondition("fixed mapping overlaps an existing one");
+  }
+  LockedMapAnonymous(va, length, std::move(name), populate, /*huge=*/false);
+  next_va_ = std::max(next_va_, end + kPageSize);
+  return va;
+}
+
+void AddressSpace::LockedMapAnonymous(uint64_t base, size_t length, std::string name,
+                                      bool populate, bool huge) {
   Vma vma;
   vma.start = base;
   vma.length = AlignUp(length, kPageSize);
@@ -53,7 +75,6 @@ StatusOr<uint64_t> AddressSpace::MapAnonymous(size_t length, std::string name, b
       COPIER_CHECK_OK(LockedFaultIn(vmas_.at(base), va, nullptr));
     }
   }
-  return base;
 }
 
 StatusOr<uint64_t> AddressSpace::MapSharedFrom(AddressSpace& other, uint64_t other_va,

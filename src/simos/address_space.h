@@ -67,6 +67,11 @@ class AddressSpace {
   StatusOr<uint64_t> MapAnonymous(size_t length, std::string name, bool populate = false,
                                   bool huge = false);
 
+  // Maps anonymous memory at the fixed, page-aligned `va` (MAP_FIXED_NOREPLACE):
+  // fails if the range overlaps an existing mapping.
+  StatusOr<uint64_t> MapAnonymousAt(uint64_t va, size_t length, std::string name,
+                                    bool populate = false);
+
   // Maps the frames backing [other_va, other_va+length) of `other` into this
   // space (shared memory / Binder buffer mapping). Pages must be present in
   // `other`. Returns the base VA here.
@@ -127,6 +132,10 @@ class AddressSpace {
   void UnlockRangeForCopy(int token);
   // True when any live copy-lock overlaps [va, va+length).
   bool WriteLockedForCopy(uint64_t va, size_t length) const;
+  // Blocks while a copy-lock overlaps [va, va+length), the wait every
+  // write-side access makes; must be called with mu_ NOT held (the resolver
+  // re-enters the space and the service).
+  void WaitForCopyLocks(uint64_t va, size_t length);
   uint64_t copy_lock_waits() const {
     return copy_lock_waits_.load(std::memory_order_relaxed);
   }
@@ -166,10 +175,6 @@ class AddressSpace {
     std::function<void()> resolver;
   };
 
-  // Blocks while a copy-lock overlaps [va, va+length); must be called with
-  // mu_ NOT held (the resolver re-enters the space and the service).
-  void WaitForCopyLocks(uint64_t va, size_t length);
-
   // All Locked* helpers require mu_ held.
   const Vma* LockedFindVma(uint64_t va) const;
   StatusOr<Pfn> LockedTranslate(uint64_t va, bool for_write, ExecContext* ctx);
@@ -177,6 +182,8 @@ class AddressSpace {
   Status LockedBreakCow(uint64_t va, Pte& pte, ExecContext* ctx);
   void LockedNotifyInvalidation(uint64_t va, size_t length);
   uint64_t LockedAllocateVaRange(size_t length);
+  void LockedMapAnonymous(uint64_t base, size_t length, std::string name, bool populate,
+                          bool huge);
 
   PhysicalMemory* phys_;
   uint32_t asid_;

@@ -101,7 +101,9 @@ struct FusedCopyOp {
 
   void* descriptor = nullptr;  // receiver's window descriptor (core::Descriptor*)
   size_t descriptor_offset = 0;
-  std::vector<FusedChunk> chunks;  // lengths sum to `length`
+  // Lengths sum to `length`. A backend that accepts the op moves the
+  // handlers into its task (the op is single-use), hence mutable.
+  mutable std::vector<FusedChunk> chunks;
   // Write-protect the sender's source range until the fused copy lands, so a
   // sender-side store after "send returned" cannot leak into the receiver's
   // image (the two-step path snapshots into skbs). The protected range is the

@@ -170,7 +170,7 @@ StatusOr<size_t> SimKernel::SendClassic(Process& proc, SimSocket* sock, uint64_t
     // Copy-Use window: socket-layer submit → driver enqueue).
     acquired.push_back(skb);
     vop.segs.push_back(UserCopySeg{skb->data, take, [peer, skb, nic_tx, probe](Cycles when) {
-                                     if (probe) probe(skb->id);
+                                     if (probe) (*probe)(skb->id);
                                      skb->delivered_at = when + nic_tx;
                                      peer->EnqueueRx(skb);
                                    }});
@@ -244,7 +244,7 @@ StatusOr<size_t> SimKernel::SendPosted(Process& proc, SimSocket* peer, PostedWin
     for (size_t i = 0; i < tokens.size(); ++i) {
       Skb* skb = tokens[i];
       fop.chunks.push_back(FusedChunk{takes[i], [pool, skb, probe](Cycles) {
-                                        if (probe) probe(skb->id);
+                                        if (probe) (*probe)(skb->id);
                                         pool->Release(skb);
                                       }});
     }
@@ -298,7 +298,7 @@ StatusOr<size_t> SimKernel::SendPosted(Process& proc, SimSocket* peer, PostedWin
   for (size_t i = 0; i < tokens.size(); ++i) {
     Skb* skb = tokens[i];
     vop2.segs.push_back(UserCopySeg{skb->data, takes[i], [pool, skb, probe](Cycles) {
-                                      if (probe) probe(skb->id);
+                                      if (probe) (*probe)(skb->id);
                                       pool->Release(skb);
                                     }});
   }
@@ -406,7 +406,7 @@ StatusOr<size_t> SimKernel::SendForward(Process& proc, SimSocket* peer, PostedWi
     const size_t chunk_len =
         i == 0 ? static_cast<size_t>(static_cast<int64_t>(takes[i]) + delta) : takes[i];
     fop.chunks.push_back(FusedChunk{chunk_len, [pool, skb, probe](Cycles) {
-                                      if (probe) probe(skb->id);
+                                      if (probe) (*probe)(skb->id);
                                       pool->Release(skb);
                                     }});
   }
@@ -473,7 +473,7 @@ Status SimKernel::DrainRxIntoWindow(Process& submit_proc, SimSocket* sock, Poste
         skb->pending_copies.fetch_add(1, std::memory_order_acq_rel);
         consumed_skbs.push_back(skb);
         vop.segs.push_back(UserCopySeg{skb->data + offset, take, [pool, skb, probe](Cycles) {
-                                         if (probe) probe(skb->id);
+                                         if (probe) (*probe)(skb->id);
                                          SimSocket::CompleteCopy(pool, skb);
                                        }});
       });
@@ -616,7 +616,7 @@ StatusOr<size_t> SimKernel::Recv(Process& proc, SimSocket* sock, uint64_t va, si
         skb->pending_copies.fetch_add(1, std::memory_order_acq_rel);
         consumed_skbs.push_back(skb);
         vop.segs.push_back(UserCopySeg{skb->data + offset, take, [pool, skb, probe](Cycles) {
-                                         if (probe) probe(skb->id);
+                                         if (probe) (*probe)(skb->id);
                                          SimSocket::CompleteCopy(pool, skb);
                                        }});
       });

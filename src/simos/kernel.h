@@ -104,7 +104,10 @@ class SimKernel {
 
   // Test hook (kfunc-order differentials): invoked with the skb id from every
   // skb delivery/reclaim KFUNC the socket paths fire, in firing order.
-  void SetKfuncProbe(std::function<void(uint32_t)> probe) { kfunc_probe_ = std::move(probe); }
+  void SetKfuncProbe(std::function<void(uint32_t)> probe) {
+    kfunc_probe_ =
+        probe ? std::make_shared<const std::function<void(uint32_t)>>(std::move(probe)) : nullptr;
+  }
 
   // --- Traps -------------------------------------------------------------------
 
@@ -161,7 +164,8 @@ class SimKernel {
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<std::unique_ptr<SimSocket>> sockets_;
   uint32_t next_pid_ = 1;
-  std::function<void(uint32_t)> kfunc_probe_;
+  // Shared so each chunk handler captures a pointer, not a copy of the probe.
+  std::shared_ptr<const std::function<void(uint32_t)>> kfunc_probe_;
 };
 
 }  // namespace copier::simos

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/common/align.h"
 #include "src/common/bitmap.h"
@@ -79,6 +81,27 @@ TEST(AtomicBitmap, WordBoundaryRanges) {
   EXPECT_TRUE(bits.AllSetInRange(60, 69));
   EXPECT_FALSE(bits.AllSetInRange(59, 69));
   EXPECT_FALSE(bits.AllSetInRange(60, 70));
+}
+
+// SetRange must set exactly [first, last] at word edges (bits 0/63/64/127) and
+// for single bits, as the per-bit Set loop it replaces did.
+TEST(AtomicBitmap, SetRangeMatchesPerBitSet) {
+  const std::vector<std::pair<size_t, size_t>> ranges = {
+      {0, 0},   {63, 63}, {64, 64},  {127, 127}, {0, 63},  {0, 64},  {63, 64},
+      {64, 127}, {63, 128}, {1, 126}, {0, 191},   {70, 70}, {5, 130}, {128, 191}};
+  for (const auto& [first, last] : ranges) {
+    AtomicBitmap range(192);
+    AtomicBitmap single(192);
+    range.SetRange(first, last);
+    for (size_t bit = first; bit <= last; ++bit) {
+      single.Set(bit);
+    }
+    for (size_t bit = 0; bit < 192; ++bit) {
+      EXPECT_EQ(range.Test(bit), single.Test(bit)) << first << ".." << last << " bit " << bit;
+    }
+    EXPECT_EQ(range.CountSet(), last - first + 1);
+    EXPECT_TRUE(range.AllSetInRange(first, last));
+  }
 }
 
 TEST(MpscRingBuffer, FifoSingleThread) {

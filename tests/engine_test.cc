@@ -194,6 +194,97 @@ TEST(ATCacheTest, InvalidationOnUnmap) {
   ExpectSameBytes(stack.proc->mem(), src, dst2, n);
 }
 
+TEST(ATCacheTest, WarmRangeNeedsWritableEntries) {
+  core::ATCache cache;
+  uint8_t page[kPageSize];
+  const uint64_t base = 0x10'0000;
+  for (uint64_t va = base; va < base + 4 * kPageSize; va += kPageSize) {
+    cache.Insert(7, va, page, /*writable=*/va != base + 3 * kPageSize);
+  }
+  EXPECT_FALSE(cache.MarkWarm(7, base, 4 * kPageSize));  // last page read-only
+  EXPECT_FALSE(cache.MarkWarm(7, base, 5 * kPageSize));  // fifth page absent
+  ASSERT_TRUE(cache.MarkWarm(7, base, 3 * kPageSize));
+  EXPECT_TRUE(cache.IsWarm(7, base + 100, 2 * kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base, 4 * kPageSize));
+  EXPECT_FALSE(cache.IsWarm(8, base, kPageSize));  // other address space
+  // A read-only entry for a warm page takes that page out of the range.
+  cache.Insert(7, base + kPageSize, page, /*writable=*/false);
+  EXPECT_TRUE(cache.IsWarm(7, base, kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base, 2 * kPageSize));
+  EXPECT_TRUE(cache.IsWarm(7, base + 2 * kPageSize, kPageSize));
+}
+
+TEST(ATCacheTest, WarmRangesCoalesceAndTrimOnOverlappingInvalidation) {
+  core::ATCache cache;
+  uint8_t page[kPageSize];
+  const uint64_t base = 0x10'0000;
+  for (uint64_t va = base; va < base + 8 * kPageSize; va += kPageSize) {
+    cache.Insert(7, va, page, /*writable=*/true);
+  }
+  ASSERT_TRUE(cache.MarkWarm(7, base, 4 * kPageSize));
+  ASSERT_TRUE(cache.MarkWarm(7, base + 4 * kPageSize, 4 * kPageSize));
+  EXPECT_TRUE(cache.IsWarm(7, base, 8 * kPageSize));  // adjacent ranges merged
+  // Invalidating a sub-page span of page 3 drops page 3 only.
+  cache.Invalidate(7, base + 3 * kPageSize + 10, 20);
+  EXPECT_TRUE(cache.IsWarm(7, base, 3 * kPageSize));
+  EXPECT_TRUE(cache.IsWarm(7, base + 4 * kPageSize, 4 * kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base + 2 * kPageSize, 2 * kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base + 3 * kPageSize, kPageSize));
+  // An invalidation spanning both pieces' edges trims each of them.
+  cache.Invalidate(7, base + 2 * kPageSize, 3 * kPageSize);
+  EXPECT_TRUE(cache.IsWarm(7, base, 2 * kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base + 2 * kPageSize, kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base + 4 * kPageSize, kPageSize));
+  EXPECT_TRUE(cache.IsWarm(7, base + 5 * kPageSize, 3 * kPageSize));
+}
+
+TEST(ATCacheTest, WholeSpaceInvalidationDropsOnlyThatSpace) {
+  core::ATCache cache;
+  uint8_t page[kPageSize];
+  const uint64_t base = 0x10'0000;
+  for (uint32_t asid : {6u, 7u, 8u}) {
+    cache.Insert(asid, base, page, /*writable=*/true);
+    ASSERT_TRUE(cache.MarkWarm(asid, base, kPageSize));
+  }
+  cache.Invalidate(7, 0, SIZE_MAX);
+  EXPECT_TRUE(cache.IsWarm(6, base, kPageSize));
+  EXPECT_FALSE(cache.IsWarm(7, base, kPageSize));
+  EXPECT_TRUE(cache.IsWarm(8, base, kPageSize));
+  EXPECT_EQ(cache.Lookup(7, base), nullptr);
+  EXPECT_NE(cache.Lookup(8, base), nullptr);
+}
+
+// Detach removes the space's invalidation listeners, so it must also drop the
+// space's cached translations: a fork while unattached turns the pages CoW
+// without telling the engines, and a copy after reattaching must not write
+// through the old, now shared, frames into the child's memory.
+TEST(ATCacheTest, DetachDropsTranslations) {
+  constexpr size_t n = 64 * kKiB;
+  CopierStack stack;
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  core::Client* client = stack.service->AttachProcess(peer);
+  auto src = peer->mem().MapAnonymous(n, "src", true);
+  auto dst = peer->mem().MapAnonymous(n, "dst", true);
+  ASSERT_TRUE(src.ok() && dst.ok());
+  FillPattern(peer->mem(), *src, n, 1);
+  {
+    lib::CopierLib lib(client, stack.service.get());
+    lib.amemcpy(*dst, *src, n);
+    ASSERT_TRUE(lib.csync(*dst, n).ok());
+  }
+  stack.service->DetachClient(*client);
+  auto child = stack.kernel->Fork(*peer, nullptr);
+  ASSERT_TRUE(child.ok());
+  const std::vector<uint8_t> child_before = ReadAll((*child)->mem(), *dst, n);
+
+  lib::CopierLib lib(stack.service->AttachProcess(peer), stack.service.get());
+  FillPattern(peer->mem(), *src, n, 2);
+  lib.amemcpy(*dst, *src, n);
+  ASSERT_TRUE(lib.csync(*dst, n).ok());
+  ExpectSameBytes(peer->mem(), *src, *dst, n);
+  EXPECT_EQ(ReadAll((*child)->mem(), *dst, n), child_before);
+}
+
 TEST(Scheduler, CopyLengthFairnessAcrossClients) {
   // Two clients, equal shares: served bytes should balance even though one
   // submits much larger tasks.

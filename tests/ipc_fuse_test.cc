@@ -1100,5 +1100,171 @@ TEST(IpcFuseApps, PostedParcelChannelRoundTrip) {
   }
 }
 
+// --- window re-post: cached registration --------------------------------------
+
+// What a mapping change does to the receiver between its two posts of the same
+// window VA.
+enum class RepostEvent {
+  kNone,      // nothing: the registration is still warm
+  kFork,      // the receiver forks, so its window pages turn CoW
+  kRemap,     // the window is unmapped and mapped afresh at the same VA
+  kReattach,  // the receiver detaches, forks while unattached, then reattaches
+};
+
+struct RepostResult {
+  bool warm_before_repost = false;
+  std::vector<uint8_t> image;        // receiver's window after the second transfer
+  std::vector<uint8_t> child_image;  // forked child's window (fork events only)
+  uint64_t hits = 0;                 // ATCache hits/misses over the second transfer
+  uint64_t misses = 0;
+  Cycles post_cycles = 0;  // receiver clock charged by the second post
+  Cycles ready = 0;        // completion cycle of the second transfer
+};
+
+// Two posted-window transfers of `n` bytes into the same receiver window VA,
+// with `event` in between. `force_walk` invalidates the window's translations
+// right before the second post, so that post registers it as a first post does.
+RepostResult RunRepost(RepostEvent event, bool force_walk) {
+  constexpr size_t n = 256 * kKiB;
+  core::CopierConfig config;
+  config.engine_count = 2;
+  CopierStack stack(config);
+  simos::Process* peer = stack.kernel->CreateProcess("peer");
+  core::Client* peer_client = stack.service->AttachProcess(peer);
+  auto [tx, rx] = stack.kernel->CreateSocketPair();
+  const uint64_t src = stack.Map(n, "src");
+  auto win_or = peer->mem().MapAnonymous(n, "win", /*populate=*/true);
+  EXPECT_TRUE(win_or.ok());
+  const uint64_t win = *win_or;
+
+  ExecContext rctx("receiver");
+  const auto atcache_totals = [&] {
+    std::pair<uint64_t, uint64_t> totals;
+    for (size_t i = 0; i < stack.service->engine_count(); ++i) {
+      totals.first += stack.service->engine(i).atcache().hits();
+      totals.second += stack.service->engine(i).atcache().misses();
+    }
+    return totals;
+  };
+  const auto transfer = [&](core::Descriptor& descriptor) {
+    simos::RecvOptions ropts;
+    ropts.descriptor = &descriptor;
+    EXPECT_TRUE(stack.kernel->PostRecv(*peer, rx, win, n, &rctx, ropts).ok());
+    auto sent = stack.kernel->Send(*stack.proc, tx, src, n, nullptr);
+    EXPECT_TRUE(sent.ok() && *sent == n);
+    EXPECT_TRUE(
+        core::WaitDescriptor(descriptor, 0, n, nullptr, [&] { stack.service->DrainAll(); })
+            .ok());
+    auto filled = stack.kernel->CompleteRecv(*peer, rx, nullptr);
+    EXPECT_TRUE(filled.ok() && *filled == n);
+  };
+
+  FillPattern(stack.proc->mem(), src, n, 9001);
+  core::Descriptor first(n);
+  transfer(first);
+
+  simos::Process* child = nullptr;
+  switch (event) {
+    case RepostEvent::kNone:
+      break;
+    case RepostEvent::kFork: {
+      auto child_or = stack.kernel->Fork(*peer, nullptr);
+      EXPECT_TRUE(child_or.ok());
+      child = *child_or;
+      break;
+    }
+    case RepostEvent::kRemap:
+      EXPECT_TRUE(peer->mem().Unmap(win, n).ok());
+      EXPECT_TRUE(peer->mem().MapAnonymousAt(win, n, "win", /*populate=*/true).ok());
+      break;
+    case RepostEvent::kReattach: {
+      stack.service->DetachClient(*peer_client);
+      // No listener sees this fork's CoW downgrade of the window pages.
+      auto child_or = stack.kernel->Fork(*peer, nullptr);
+      EXPECT_TRUE(child_or.ok());
+      child = *child_or;
+      stack.service->AttachProcess(peer);
+      break;
+    }
+  }
+
+  RepostResult result;
+  result.warm_before_repost = true;
+  for (size_t i = 0; i < stack.service->engine_count(); ++i) {
+    result.warm_before_repost &= stack.service->engine(i).atcache().IsWarm(peer->mem().asid(), win, n);
+  }
+  if (force_walk) {
+    for (size_t i = 0; i < stack.service->engine_count(); ++i) {
+      stack.service->engine(i).atcache().Invalidate(peer->mem().asid(), win, n);
+    }
+  }
+  FillPattern(stack.proc->mem(), src, n, 9002);
+  const auto before = atcache_totals();
+  const Cycles post_start = rctx.now();
+  core::Descriptor second(n);
+  transfer(second);
+  const auto after = atcache_totals();
+  result.hits = after.first - before.first;
+  result.misses = after.second - before.second;
+  result.post_cycles = rctx.now() - post_start;
+  result.ready = second.ReadyTime(0, n);
+  result.image = ReadAll(peer->mem(), win, n);
+  if (child != nullptr) {
+    result.child_image = ReadAll(child->mem(), win, n);
+  }
+  return result;
+}
+
+std::vector<uint8_t> PatternBytes(size_t n, uint64_t seed) {
+  simos::SimKernel kernel;
+  simos::Process* proc = kernel.CreateProcess("pattern");
+  auto va = proc->mem().MapAnonymous(n, "pattern", true);
+  EXPECT_TRUE(va.ok());
+  FillPattern(proc->mem(), *va, n, seed);
+  return ReadAll(proc->mem(), *va, n);
+}
+
+class WindowRepost : public ::testing::TestWithParam<RepostEvent> {};
+
+// A re-post lands the new bytes in the receiver's current frames, and costs
+// the same virtual time with the same ATCache hits and misses as a post that
+// walks the window from scratch. Only an unchanged window stays warm.
+TEST_P(WindowRepost, MatchesAFirstPost) {
+  const RepostEvent event = GetParam();
+  const RepostResult cached = RunRepost(event, /*force_walk=*/false);
+  const RepostResult walked = RunRepost(event, /*force_walk=*/true);
+  constexpr size_t n = 256 * kKiB;
+
+  EXPECT_EQ(cached.warm_before_repost, event == RepostEvent::kNone);
+  EXPECT_EQ(cached.image, PatternBytes(n, 9002));
+  EXPECT_EQ(cached.image, walked.image);
+  if (event == RepostEvent::kFork || event == RepostEvent::kReattach) {
+    // The child keeps the first transfer's bytes: the second one broke CoW.
+    EXPECT_EQ(cached.child_image, PatternBytes(n, 9001));
+  }
+  EXPECT_EQ(cached.hits, walked.hits);
+  EXPECT_EQ(cached.misses, walked.misses);
+  EXPECT_GT(cached.hits, 0u);
+  EXPECT_EQ(cached.post_cycles, walked.post_cycles);
+  EXPECT_EQ(cached.ready, walked.ready);
+}
+
+INSTANTIATE_TEST_SUITE_P(Events, WindowRepost,
+                         ::testing::Values(RepostEvent::kNone, RepostEvent::kFork,
+                                           RepostEvent::kRemap, RepostEvent::kReattach),
+                         [](const ::testing::TestParamInfo<RepostEvent>& info) {
+                           switch (info.param) {
+                             case RepostEvent::kNone:
+                               return "Unchanged";
+                             case RepostEvent::kFork:
+                               return "AfterFork";
+                             case RepostEvent::kRemap:
+                               return "AfterRemap";
+                             case RepostEvent::kReattach:
+                               return "AfterReattach";
+                           }
+                           return "Unknown";
+                         });
+
 }  // namespace
 }  // namespace copier::test
