@@ -2,18 +2,16 @@
 //
 // The same steady-state large-copy loop runs over 1→8 DMA channels with
 // asynchronous completion (rounds park their in-flight batches and the
-// reaper lands them on later serves), plus the blocking single-channel
-// baseline (the pre-§9 engine: every round ends in a busy-wait on the DMA
-// tail). Reported per configuration:
-//   * throughput (GiB/s of virtual time) and speedup over 1 async channel,
-//   * dma_stall_cycles — end-of-round blocking waits (~0 when async),
+// reaper lands them on later serves). Reported per configuration:
+//   * throughput (GiB/s of virtual time) and speedup over 1 channel,
+//   * dma_stall_cycles — busy-waits on a DMA completion (0: rounds park),
 //   * dma_drain_wait_cycles — clock advanced to completions at barriers,
 //   * parked rounds and ring-full CPU fallbacks,
 //   * the DMA share of the moved bytes ("-" when no byte moved),
-//   * an FNV-1a checksum of the destination, compared against the blocking
-//     baseline: the async multi-channel engine must land identical bytes.
+//   * whether the destination holds exactly the source bytes, at every
+//     channel count.
 //
-// The scaling gate prints " NO " (bench_smoke.sh greps for it) when 4 async
+// The scaling gate prints " NO " (bench_smoke.sh greps for it) when 4
 // channels are less than kScalingFloor times faster than 1.
 //
 // --json additionally writes BENCH_dma_channels.json for scripts/bench_smoke.sh.
@@ -29,11 +27,10 @@
 namespace copier::bench {
 namespace {
 
-constexpr double kScalingFloor = 1.5;  // 1 -> 4 async channels
+constexpr double kScalingFloor = 1.5;  // 1 -> 4 channels
 
 struct ChannelResult {
   size_t channels = 0;
-  bool async = true;
   Cycles cycles = 0;
   uint64_t bytes = 0;
   uint64_t stall_cycles = 0;
@@ -42,27 +39,24 @@ struct ChannelResult {
   uint64_t ring_full_fallbacks = 0;
   uint64_t dma_bytes = 0;
   uint64_t avx_bytes = 0;
-  uint64_t checksum = 0;
+  bool identical = false;  // destination bytes equal the source bytes
 };
 
-ChannelResult RunChannels(const hw::TimingModel& t, size_t channels, bool async) {
+ChannelResult RunChannels(const hw::TimingModel& t, size_t channels) {
   core::CopierConfig config;
   config.dma_channel_count = channels;
-  config.enable_async_dma_completion = async;
   BenchStack stack(&t, config);
   apps::AppProcess* app = stack.NewApp("dmabench");
   const size_t kCopy = 1 * kMiB;
   constexpr int kIters = 24;
   const uint64_t src = app->Map(kCopy, "src");
   const uint64_t dst = app->Map(kCopy, "dst");
-  {
-    Rng rng(0xD31A);  // same image in every configuration
-    std::vector<uint8_t> bytes(kCopy);
-    for (auto& b : bytes) {
-      b = static_cast<uint8_t>(rng.Next());
-    }
-    COPIER_CHECK(app->proc()->mem().WriteBytes(src, bytes.data(), kCopy).ok());
+  std::vector<uint8_t> source(kCopy);
+  Rng rng(0xD31A);  // same image in every configuration
+  for (auto& b : source) {
+    b = static_cast<uint8_t>(rng.Next());
   }
+  COPIER_CHECK(app->proc()->mem().WriteBytes(src, source.data(), kCopy).ok());
   // Warm-up pass: populate the ATCache so the sweep measures the steady
   // state, not first-touch page walks (cold translations cost ~240 cycles a
   // page and mask the channel scaling).
@@ -79,7 +73,6 @@ ChannelResult RunChannels(const hw::TimingModel& t, size_t channels, bool async)
 
   ChannelResult result;
   result.channels = channels;
-  result.async = async;
   result.cycles = stack.service->engine_ctx().now() - start;
   result.bytes = static_cast<uint64_t>(kCopy) * kIters;
   const core::Engine::Stats after = stack.service->TotalStats();
@@ -90,29 +83,24 @@ ChannelResult RunChannels(const hw::TimingModel& t, size_t channels, bool async)
   result.dma_bytes = after.dma_bytes_completed - before.dma_bytes_completed;
   result.avx_bytes = after.avx_bytes - before.avx_bytes;
 
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a over the destination
   std::vector<uint8_t> image(kCopy);
   if (!app->proc()->mem().ReadBytes(dst, image.data(), image.size()).ok()) {
     std::fprintf(stderr, "destination readback failed at %zu channels\n", channels);
   }
-  for (uint8_t byte : image) {
-    hash = (hash ^ byte) * 1099511628211ull;
-  }
-  result.checksum = hash;
+  result.identical = image == source;
   return result;
 }
 
 void Run(int argc, char** argv) {
   const hw::TimingModel& t = SelectTiming(argc, argv);
-  PrintBanner("DMA channel sweep: async parked rounds vs blocking single channel");
+  PrintBanner("DMA channel sweep: async parked rounds, 1 -> 8 channels");
   const std::vector<size_t> channel_counts = {1, 2, 4, 8};
 
-  const ChannelResult blocking = RunChannels(t, 1, /*async=*/false);
   std::vector<ChannelResult> sweep;
   for (size_t channels : channel_counts) {
-    sweep.push_back(RunChannels(t, channels, /*async=*/true));
+    sweep.push_back(RunChannels(t, channels));
   }
-  const ChannelResult& base = sweep.front();  // 1 async channel
+  const ChannelResult& base = sweep.front();  // 1 channel
 
   TextTable table({"config", "GiB/s", "vs 1ch", "stall cyc", "drain cyc", "parked",
                    "fallbacks", "DMA share", "identical"});
@@ -125,12 +113,11 @@ void Run(int argc, char** argv) {
                   TextTable::Num(r.parked_rounds, 0),
                   TextTable::Num(r.ring_full_fallbacks, 0),
                   moved == 0 ? "-" : TextTable::Num(100.0 * r.dma_bytes / moved, 0) + "%",
-                  r.checksum == blocking.checksum ? "yes" : "NO"});
-    if (r.checksum != blocking.checksum) {
-      std::fprintf(stderr, "MISMATCH: %s image differs from the blocking baseline\n", label);
+                  r.identical ? "yes" : "NO"});
+    if (!r.identical) {
+      std::fprintf(stderr, "MISMATCH: %s image differs from the source bytes\n", label);
     }
   };
-  add_row(blocking, "1 ch, blocking");
   const std::vector<std::string> labels = {"1 ch, async", "2 ch, async", "4 ch, async",
                                            "8 ch, async"};
   for (size_t i = 0; i < sweep.size(); ++i) {
@@ -144,8 +131,8 @@ void Run(int argc, char** argv) {
   if (HasFlag(argc, argv, "--json")) {
     std::ofstream out("BENCH_dma_channels.json");
     auto emit = [&](const ChannelResult& r) {
-      out << "{\"channels\": " << r.channels << ", \"async\": " << (r.async ? "true" : "false")
-          << ", \"gibps\": " << GiBps(r.bytes, r.cycles) << ", \"cycles\": " << r.cycles
+      out << "{\"channels\": " << r.channels << ", \"gibps\": " << GiBps(r.bytes, r.cycles)
+          << ", \"cycles\": " << r.cycles
           << ", \"stall_cycles\": " << r.stall_cycles
           << ", \"drain_wait_cycles\": " << r.drain_wait_cycles
           << ", \"parked_rounds\": " << r.parked_rounds
@@ -153,12 +140,10 @@ void Run(int argc, char** argv) {
           << ", \"dma_bytes\": " << r.dma_bytes << ", \"avx_bytes\": " << r.avx_bytes
           << ", \"speedup_vs_1ch_async\": "
           << static_cast<double>(base.cycles) / r.cycles << ", \"identical_result\": "
-          << (r.checksum == blocking.checksum ? "true" : "false") << "}";
+          << (r.identical ? "true" : "false") << "}";
     };
     out << "{\n  \"bench\": \"dma_channels\",\n  \"copy_bytes\": " << (1 * kMiB)
-        << ",\n  \"iters\": 24,\n  \"blocking_baseline\": ";
-    emit(blocking);
-    out << ",\n  \"sweep\": [\n";
+        << ",\n  \"iters\": 24,\n  \"sweep\": [\n";
     for (size_t i = 0; i < sweep.size(); ++i) {
       out << "    ";
       emit(sweep[i]);

@@ -137,8 +137,7 @@ void RunThreadedUtilization() {
     }
   }
   // Mid-run sample, threads still serving: submitted − completed is the DMA
-  // work genuinely in flight while rounds are parked (DESIGN.md §9) — the
-  // utilization the blocking engine hid inside its end-of-round waits.
+  // work genuinely in flight while rounds are parked (DESIGN.md §9).
   const core::Engine::Stats mid = service.TotalStats();
   const uint64_t inflight_sample =
       mid.dma_bytes_submitted > mid.dma_bytes_completed

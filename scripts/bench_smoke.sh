@@ -5,8 +5,8 @@
 # on cycles/task at depth 4096 <= 2x depth 16), BENCH_sched.json (sharded vs
 # linear scheduler sweep), BENCH_submit_batch.json (vectored submission sweep,
 # received bytes checked against the source, gated on 1 entry + 1 doorbell
-# per send), BENCH_dma_channels.json (async multi-channel DMA sweep vs the
-# blocking single-channel baseline, gated at >=1.5x from 1 to 4 channels),
+# per send), BENCH_dma_channels.json (async multi-channel DMA sweep, images
+# checked against the source, gated at >=1.5x from 1 to 4 channels),
 # BENCH_engines.json (engine-pool sweep, 1 -> 8 copier engines, gated at
 # >=3x aggregate scaling),
 # BENCH_ipc_fuse.json (fused single-hop IPC vs the two-step ablation, gated
@@ -18,11 +18,13 @@
 # the repo root; fails if any sweep reports non-identical memory images, the
 # queue-depth sweep is not flat, a send needs more than one batch, the DMA
 # channel or engine-pool scaling or a gated fuse row misses its speedup floor,
-# or the serving sweep's p999 knee fails to move right under load shedding.
+# the serving sweep's p999 knee fails to move right under load shedding, or
+# the Fig. 9 throughput gate (Copier beats AVX2 at 256 KiB, positive ATCache
+# gain) fails.
 #
 # Usage: scripts/bench_smoke.sh [quick]
-#   quick — CI mode: the vectored-submission sweep runs its two-size subset
-#           and the throughput figure is skipped.
+#   quick — CI mode: the vectored-submission and serving sweeps run their
+#           quick subsets.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,7 +62,7 @@ fi
 echo
 "$BUILD_DIR"/bench/bench_dma_channels --json | tee /tmp/bench_dma_channels.out
 if grep -q ' NO ' /tmp/bench_dma_channels.out; then
-  echo "bench_dma_channels: async image differs from the blocking baseline or 1 -> 4 channel scaling is below 1.5x" >&2
+  echo "bench_dma_channels: an image differs from the source bytes or 1 -> 4 channel scaling is below 1.5x" >&2
   exit 1
 fi
 
@@ -91,6 +93,13 @@ echo
 "$BUILD_DIR"/bench/bench_cow --json | tee /tmp/bench_cow.out
 
 echo
+"$BUILD_DIR"/bench/bench_fig9_copy_throughput | tee /tmp/bench_fig9.out
+if grep -q ' NO ' /tmp/bench_fig9.out; then
+  echo "bench_fig9_copy_throughput: Copier no longer beats AVX2 at 256 KiB or the ATCache gain vanished" >&2
+  exit 1
+fi
+
+echo
 if [[ "$QUICK" == "quick" ]]; then
   "$BUILD_DIR"/bench/bench_serve --json --quick | tee /tmp/bench_serve.out
 else
@@ -99,11 +108,6 @@ fi
 if grep -q ' NO ' /tmp/bench_serve.out; then
   echo "bench_serve: a reply diverged from the model or the shed-policy p999 knee did not move right" >&2
   exit 1
-fi
-
-if [[ "$QUICK" != "quick" ]]; then
-  echo
-  "$BUILD_DIR"/bench/bench_fig9_copy_throughput
 fi
 
 echo

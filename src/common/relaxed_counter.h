@@ -1,12 +1,19 @@
 // RelaxedCounter — a monotone statistics counter safe to read from any
 // thread while another thread mutates it.
 //
-// Stats blocks (Engine::Stats, CopierService::SchedStats) are written by one
-// service thread on its hot path and aggregated by observers (TotalStats,
-// benches) while the threads keep running. Plain uint64_t fields make that a
-// data race; a relaxed atomic keeps the write a single unordered store/RMW —
-// no fences on x86 — while reads are well-defined. The operators mirror plain
-// integer usage so counting sites read identically to the pre-atomic code.
+// Counter blocks (Engine::Stats, CopierService::SchedStats, IpcFuseStats) are
+// written by service threads on their hot paths and aggregated by observers
+// (TotalStats, benches) while the threads keep running. Plain uint64_t fields
+// make that a data race; a relaxed atomic keeps the write a single unordered
+// store/RMW — no fences on x86 — while reads are well-defined. The operators
+// mirror plain integer usage, so a counting site reads `++stats_.name`.
+//
+// Each block is one X-macro list that names every counter once
+// (COPIER_ENGINE_COUNTERS, COPIER_SCHED_COUNTERS; COPIER_IPC_FUSE_COUNTERS
+// also pairs each name with its event). The plain snapshot struct expands a
+// name list with COPIER_COUNTER_FIELD, the live mirror with
+// COPIER_RELAXED_COUNTER, and the snapshot and sum functions with one-line
+// local macros.
 #ifndef COPIER_SRC_COMMON_RELAXED_COUNTER_H_
 #define COPIER_SRC_COMMON_RELAXED_COUNTER_H_
 
@@ -35,5 +42,8 @@ class RelaxedCounter {
 };
 
 }  // namespace copier
+
+#define COPIER_COUNTER_FIELD(name) uint64_t name = 0;
+#define COPIER_RELAXED_COUNTER(name) ::copier::RelaxedCounter name;
 
 #endif  // COPIER_SRC_COMMON_RELAXED_COUNTER_H_

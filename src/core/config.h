@@ -22,18 +22,15 @@ struct CopierConfig {
   bool use_dma = true;
   bool enable_piggyback = true;  // false: DMA used naively (submit+wait)
   bool enable_atcache = true;
-  // Independent DMA channels per engine (DESIGN.md §9). 1 = the serial
-  // single-channel baseline; more channels let one round's batches (and
-  // chunks of one large subtask) transfer concurrently.
+  // Independent DMA channels per engine (DESIGN.md §9). 1 = one serial
+  // channel; more channels let one round's batches (and chunks of one large
+  // subtask) transfer concurrently.
   size_t dma_channel_count = 4;
   // Descriptor-ring slots per channel (ring-full submissions fall back to
-  // the CPU and are counted in dma_ring_full_fallbacks).
+  // the CPU and are counted in dma_ring_full_fallbacks). DMA completion is
+  // always non-blocking (DESIGN.md §9): a round parks its in-flight batches
+  // and a later serve reaps them.
   size_t dma_ring_slots = 256;
-  // Non-blocking DMA completion (DESIGN.md §9): the execution round parks
-  // DMA-bound bytes in flight and returns to the scheduler instead of
-  // waiting out the batch; completions are reaped on a later serve. Off =
-  // the end-of-round blocking wait baseline.
-  bool enable_async_dma_completion = true;
 
   // Global-view optimizations (§4.4).
   bool enable_absorption = true;

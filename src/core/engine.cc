@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 
 #include "src/common/logging.h"
@@ -127,54 +128,16 @@ thread_local bool t_fire_cascade = false;
 
 }  // namespace
 
-Engine::Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx)
-    : config_(config),
-      timing_(timing),
-      ctx_(ctx),
-      own_dma_(std::make_unique<hw::DmaChannelPool>(timing, config.dma_channel_count,
-                                                    config.dma_ring_slots)),
-      dma_(own_dma_.get()) {}
-
 Engine::Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx,
-               hw::DmaChannelSlice dma)
-    : config_(config), timing_(timing), ctx_(ctx), dma_(dma) {}
+               hw::DmaChannelSlice dma, OverloadSignals* overload)
+    : config_(config), timing_(timing), ctx_(ctx), dma_(dma), overload_(overload) {}
 
 Engine::Stats Engine::stats() const {
   Stats s;
-  s.tasks_ingested = stats_.tasks_ingested;
-  s.tasks_completed = stats_.tasks_completed;
-  s.tasks_dropped = stats_.tasks_dropped;
-  s.tasks_aborted = stats_.tasks_aborted;
-  s.barriers_processed = stats_.barriers_processed;
-  s.sync_promotions = stats_.sync_promotions;
-  s.bytes_copied = stats_.bytes_copied;
-  s.bytes_absorbed = stats_.bytes_absorbed;
-  s.avx_bytes = stats_.avx_bytes;
-  s.dma_bytes_submitted = stats_.dma_bytes_submitted;
-  s.dma_bytes_completed = stats_.dma_bytes_completed;
-  s.dma_batches_submitted = stats_.dma_batches_submitted;
-  s.dma_batches_completed = stats_.dma_batches_completed;
-  s.dma_ring_full_fallbacks = stats_.dma_ring_full_fallbacks;
-  s.dma_stall_cycles = stats_.dma_stall_cycles;
-  s.dma_drain_wait_cycles = stats_.dma_drain_wait_cycles;
-  s.dma_rounds_parked = stats_.dma_rounds_parked;
-  s.kfuncs_run = stats_.kfuncs_run;
-  s.ufuncs_queued = stats_.ufuncs_queued;
-  s.lazy_absorbed_bytes = stats_.lazy_absorbed_bytes;
-  s.fused_ipc_tasks = stats_.fused_ipc_tasks;
-  s.fused_ipc_bytes = stats_.fused_ipc_bytes;
+#define COPIER_LOAD_COUNTER(name) s.name = stats_.name;
+  COPIER_ENGINE_COUNTERS(COPIER_LOAD_COUNTER)
+#undef COPIER_LOAD_COUNTER
   s.last_kfunc_cycles = stats_.last_kfunc_cycles.load(std::memory_order_relaxed);
-  s.dep_probes = stats_.dep_probes;
-  s.dep_tasks_scanned = stats_.dep_tasks_scanned;
-  s.submit_entries = stats_.submit_entries;
-  s.submit_batches = stats_.submit_batches;
-  s.serve_cycles = stats_.serve_cycles;
-  s.cross_dep_probes = stats_.cross_dep_probes;
-  s.cross_dep_settles = stats_.cross_dep_settles;
-  s.cross_dep_defers = stats_.cross_dep_defers;
-  s.cross_dep_wait_cycles = stats_.cross_dep_wait_cycles;
-  // notify_calls is a service-side counter (the doorbell fires before any
-  // engine sees the work); CopierService::TotalStats fills it in.
   return s;
 }
 
@@ -224,8 +187,10 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   const Status valid = ValidateTask(client, task, kernel_mode);
   task.id = client.next_task_id++;
   // Virtual-time alignment: the Copier thread cannot have observed the task
-  // before the client submitted it (the service polls; idle time is skipped).
-  if (ctx_ != nullptr && task.submit_time > ctx_->now()) {
+  // before the client submitted it (the service polls; idle time is skipped,
+  // and is not serving work).
+  if (task.submit_time > ctx_->now()) {
+    idle_cycles_ += task.submit_time - ctx_->now();
     ctx_->WaitUntil(task.submit_time);
   }
 
@@ -290,8 +255,8 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
     pending->gseq = pending->task.gseq != 0 ? pending->task.gseq : cross_->NextGlobalSeq();
     pending->shared_visible = TaskIsSharedVisible(client, *pending);
   } else {
-    // Standalone engine: per-client order doubles as the sequence (monotone,
-    // and only ever compared against this client's own entries).
+    // Pool disabled: per-client order doubles as the sequence (monotone, and
+    // only ever compared against this client's own entries).
     pending->gseq = pending->task.gseq != 0 ? pending->task.gseq : pending->order;
   }
   PendingTask* accepted = pending.get();
@@ -341,7 +306,7 @@ void Engine::IngestPair(Client& client, QueuePair& pair) {
       if (entry->kind == CopyQueueEntry::Kind::kBarrierExit) {
         pair.kernel_bracket_open = false;
         ++stats_.barriers_processed;
-        ChargeCtx(ctx_, timing_->barrier_process_cycles);
+        ctx_->Charge(timing_->barrier_process_cycles);
         continue;
       }
       if (entry->kind == CopyQueueEntry::Kind::kBarrierEnter) {
@@ -370,7 +335,7 @@ void Engine::IngestPair(Client& client, QueuePair& pair) {
       pair.kernel_bracket_open = true;
       pair.kernel.copy_q.TryPop();
       ++stats_.barriers_processed;
-      ChargeCtx(ctx_, timing_->barrier_process_cycles);
+      ctx_->Charge(timing_->barrier_process_cycles);
       continue;
     }
     if (k_head != nullptr) {
@@ -429,7 +394,7 @@ void Engine::HandleSyncTask(Client& client, const SyncTask& sync) {
       }
     };
     ++stats_.dep_probes;
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
+    ctx_->Charge(timing_->absorption_match_cycles);
     stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
         RangeIndex::Side::kDst, sync.addr.domain(), sync.addr.start(), sync.length,
         [&](const RangeIndex::Entry& entry) {
@@ -469,7 +434,7 @@ void Engine::PromoteRange(Client& client, const MemRef& addr, size_t length) {
     size_t task_offset;
   };
   std::vector<Hit> hits;
-  ChargeCtx(ctx_, timing_->absorption_match_cycles);
+  ctx_->Charge(timing_->absorption_match_cycles);
   stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
       RangeIndex::Side::kDst, addr.domain(), addr.start(), length,
       [&](const RangeIndex::Entry& entry) {
@@ -533,7 +498,7 @@ Status Engine::ResolveDependencies(Client& client, PendingTask& task, size_t off
   std::vector<Conflict> conflicts;
   const auto probe = [&](RangeIndex::Side side, const RefPiece& w, uint8_t kind) {
     ++stats_.dep_probes;
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
+    ctx_->Charge(timing_->absorption_match_cycles);
     stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
         side, w.ref.domain(), w.ref.start(), w.length, [&](const RangeIndex::Entry& entry) {
           if (entry.order < task.order) {
@@ -593,7 +558,7 @@ PendingTask* Engine::FindProducer(Client& client, const PendingTask& task, const
   // tasks; a completed producer's bytes have landed, so the plain path
   // reading the actual source memory is equivalent (and dead-write
   // suppression keeps those bytes WAW-consistent).
-  ChargeCtx(ctx_, timing_->absorption_match_cycles);
+  ctx_->Charge(timing_->absorption_match_cycles);
   stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
       RangeIndex::Side::kDst, ref.domain(), first_byte, length,
       [&](const RangeIndex::Entry& entry) {
@@ -926,23 +891,21 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
         off += len;
       }
     }
-    ChargeCtx(ctx_, translate);
+    ctx_->Charge(translate);
     for (size_t c = 0; c < nch; ++c) {
       ChannelBatch& b = batches[c];
       if (b.descs.empty()) {
         continue;
       }
-      ChargeCtx(ctx_, dma_.SubmissionCost(b.descs.size()));
-      auto sub_or = dma_.SubmitOn(c, b.descs, CtxNow(ctx_));
+      ctx_->Charge(dma_.SubmissionCost(b.descs.size()));
+      auto sub_or = dma_.SubmitOn(c, b.descs, ctx_->now());
       if (!sub_or.ok()) {
         // Ring full on this channel: its chunks fall back to the CPU (the
         // failed attempt stays charged — the descriptors were written before
         // the doorbell bounced). Whole subtasks rejoin the AVX loop; partial
         // chunks of a split subtask run separately below.
         ++stats_.dma_ring_full_fallbacks;
-        if (overload_ != nullptr) {
-          ++overload_->ring_full_events;
-        }
+        ++overload_->ring_full_events;
         for (const RoundChunk& ch : b.chunks) {
           if (ch.offset == 0 && ch.length == subtasks[ch.subtask].length) {
             subtasks[ch.subtask].on_dma = false;
@@ -968,95 +931,64 @@ void Engine::ExecuteRound(Client& client, std::vector<Subtask>& subtasks) {
     if (config_.use_dma && !config_.enable_piggyback && st.dma_eligible) {
       // Naive DMA (ablation): submit and busy-wait per subtask.
       hw::DmaDescriptor desc{st.dst, st.src, st.length};
-      ChargeCtx(ctx_, dma_.SubmissionCost(1));
+      ctx_->Charge(dma_.SubmissionCost(1));
       const size_t ch = dma_.PickChannel(1);
       if (ch < nch) {
-        auto sub_or = dma_.SubmitOn(ch, {&desc, 1}, CtxNow(ctx_));
+        auto sub_or = dma_.SubmitOn(ch, {&desc, 1}, ctx_->now());
         if (sub_or.ok()) {
-          if (ctx_ != nullptr) {
-            const Cycles stall_from = ctx_->now();
-            ctx_->WaitUntil(sub_or->completion_time);
-            stats_.dma_stall_cycles += ctx_->now() - stall_from;
-          }
-          ChargeCtx(ctx_, timing_->dma_completion_check_cycles);
+          const Cycles stall_from = ctx_->now();
+          ctx_->WaitUntil(sub_or->completion_time);
+          stats_.dma_stall_cycles += ctx_->now() - stall_from;
+          ctx_->Charge(timing_->dma_completion_check_cycles);
           stats_.dma_bytes_submitted += st.length;
           ++stats_.dma_batches_submitted;
           stats_.dma_bytes_completed += st.length;
           ++stats_.dma_batches_completed;
-          MarkProgress(client, *st.owner, st.task_offset, st.length, CtxNow(ctx_));
+          MarkProgress(client, *st.owner, st.task_offset, st.length, ctx_->now());
           continue;
         }
       }
       ++stats_.dma_ring_full_fallbacks;
-      if (overload_ != nullptr) {
-        ++overload_->ring_full_events;
-      }
+      ++overload_->ring_full_events;
     }
     hw::AvxCopy(st.dst, st.src, st.length);
-    ChargeCtx(ctx_, timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, st.length));
+    ctx_->Charge(timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, st.length));
     stats_.avx_bytes += st.length;
-    MarkProgress(client, *st.owner, st.task_offset, st.length, CtxNow(ctx_));
+    MarkProgress(client, *st.owner, st.task_offset, st.length, ctx_->now());
   }
   for (const RoundChunk& ch : ring_full_chunks) {
     Subtask& st = subtasks[ch.subtask];
     hw::AvxCopy(st.dst + ch.offset, st.src + ch.offset, ch.length);
-    ChargeCtx(ctx_, timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, ch.length));
+    ctx_->Charge(timing_->CpuCopyCycles(hw::CopyUnitKind::kAvx, ch.length));
     stats_.avx_bytes += ch.length;
-    MarkProgress(client, *st.owner, st.task_offset + ch.offset, ch.length, CtxNow(ctx_));
+    MarkProgress(client, *st.owner, st.task_offset + ch.offset, ch.length, ctx_->now());
   }
 
+  // Park the in-flight batches instead of waiting them out (DESIGN.md §9):
+  // the round retires with its DMA bytes outstanding, the serve returns to
+  // the scheduler, and ReapParkedDma lands the bytes on a later pass.
+  // Completion times were captured at submission, so even an engine that
+  // later steals this client never touches this engine's channels.
   if (submitted.empty()) {
     return;
   }
-  if (config_.enable_async_dma_completion && ctx_ != nullptr) {
-    // Park the in-flight batches instead of waiting them out (DESIGN.md §9):
-    // the round retires with its DMA bytes outstanding, the serve returns to
-    // the scheduler, and ReapParkedDma lands the bytes on a later pass.
-    // Completion times were captured at submission, so even an engine that
-    // later steals this client never touches this engine's channels.
-    ++stats_.dma_rounds_parked;
-    for (SubmittedBatch& b : submitted) {
-      Client::ParkedDma parked;
-      parked.completion_time = b.completion;
-      parked.bytes = b.bytes;
-      parked.min_order = UINT64_MAX;
-      parked.segs.reserve(b.chunks.size());
-      for (const RoundChunk& ch : b.chunks) {
-        Subtask& st = subtasks[ch.subtask];
-        const size_t task_off = st.task_offset + ch.offset;
-        parked.segs.push_back({st.owner, task_off, ch.length});
-        parked.min_order = std::min(parked.min_order, st.owner->order);
-        st.owner->dma_parked.emplace_back(task_off, task_off + ch.length);
-      }
-      client.parked_orders.insert(parked.min_order);
-      client.parked_dma.push_back(std::move(parked));
-      client.dma_inflight_bytes.fetch_add(b.bytes, std::memory_order_relaxed);
-    }
-    return;
-  }
-  // Blocking completion (ablation baseline; also any engine without an
-  // ExecContext, whose clock cannot advance to a later reap): wait out the
-  // slowest channel, then confirm each batch.
-  Cycles last_completion = 0;
-  for (const SubmittedBatch& b : submitted) {
-    last_completion = std::max(last_completion, b.completion);
-  }
-  if (ctx_ != nullptr) {
-    const Cycles stall_from = ctx_->now();
-    ctx_->WaitUntil(last_completion);
-    stats_.dma_stall_cycles += ctx_->now() - stall_from;
-  }
-  for (const SubmittedBatch& b : submitted) {
-    ChargeCtx(ctx_, timing_->dma_completion_check_cycles);
-    stats_.dma_bytes_completed += b.bytes;
-    ++stats_.dma_batches_completed;
-  }
-  dma_.Poll(CtxNow(ctx_));
-  for (const SubmittedBatch& b : submitted) {
+  ++stats_.dma_rounds_parked;
+  for (SubmittedBatch& b : submitted) {
+    Client::ParkedDma parked;
+    parked.completion_time = b.completion;
+    parked.bytes = b.bytes;
+    parked.min_order = UINT64_MAX;
+    parked.segs.reserve(b.chunks.size());
     for (const RoundChunk& ch : b.chunks) {
       Subtask& st = subtasks[ch.subtask];
-      MarkProgress(client, *st.owner, st.task_offset + ch.offset, ch.length, CtxNow(ctx_));
+      const size_t task_off = st.task_offset + ch.offset;
+      parked.segs.push_back({st.owner, task_off, ch.length});
+      parked.min_order = std::min(parked.min_order, st.owner->order);
+      st.owner->dma_parked.emplace_back(task_off, task_off + ch.length);
     }
+    client.parked_orders.insert(parked.min_order);
+    client.parked_dma.push_back(std::move(parked));
+    client.dma_inflight_bytes.fetch_add(b.bytes, std::memory_order_relaxed);
   }
 }
 
@@ -1196,7 +1128,7 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       // suppress_from walks it once.
       std::vector<PendingTask*> writers;
       ++stats_.dep_probes;
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
+      ctx_->Charge(timing_->absorption_match_cycles);
       stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
           RangeIndex::Side::kDst, ddomain, dbase, dp.length, [&](const RangeIndex::Entry& entry) {
             if (entry.order > task.order && !entry.task->aborted &&
@@ -1233,12 +1165,12 @@ Status Engine::CopyRange(Client& client, PendingTask& task, size_t offset, size_
       size_t cursor = run_start;
       for (auto [ls, le] : live) {
         if (cursor < ls) {
-          MarkProgress(client, task, cursor, ls - cursor, CtxNow(ctx_));
+          MarkProgress(client, task, cursor, ls - cursor, ctx_->now());
         }
         cursor = le;
       }
       if (cursor < run_end) {
-        MarkProgress(client, task, cursor, run_end - cursor, CtxNow(ctx_));
+        MarkProgress(client, task, cursor, run_end - cursor, ctx_->now());
       }
     }
   }
@@ -1373,7 +1305,7 @@ Status Engine::SettleSharedRange(Client& client, uint64_t domain, uint64_t start
   std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
     return a.gseq != b.gseq ? a.gseq < b.gseq : a.offset < b.offset;
   });
-  const Cycles settle_start = CtxNow(ctx_);
+  const Cycles settle_start = ctx_->now();
   for (const Hit& hit : hits) {
     if (hit.task->Done() || RangeLanded(*hit.task, hit.offset, hit.length)) {
       continue;  // already landed (e.g. absorbed or delivered): nothing to order
@@ -1386,13 +1318,13 @@ Status Engine::SettleSharedRange(Client& client, uint64_t domain, uint64_t start
     --t_cross_settle;
     if (!status.ok()) {
       if (status.code() == StatusCode::kUnavailable) {
-        stats_.cross_dep_wait_cycles += CtxNow(ctx_) - settle_start;
+        stats_.cross_dep_wait_cycles += ctx_->now() - settle_start;
         return status;  // nested defer: unwind to the original caller
       }
       DropTask(client, *hit.task, status);
     }
   }
-  stats_.cross_dep_wait_cycles += CtxNow(ctx_) - settle_start;
+  stats_.cross_dep_wait_cycles += ctx_->now() - settle_start;
   return OkStatus();
 }
 
@@ -1413,7 +1345,7 @@ void Engine::ApplyDeferredAborts(Client& client) {
     CollectPieces(task.task, /*dst_side=*/true, 0, task.task.length, &dpieces);
     for (const RefPiece& dp : dpieces) {
       ++stats_.dep_probes;
-      ChargeCtx(ctx_, timing_->absorption_match_cycles);
+      ctx_->Charge(timing_->absorption_match_cycles);
       stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
           RangeIndex::Side::kSrc, dp.ref.domain(), dp.ref.start(), dp.length,
           [&](const RangeIndex::Entry& entry) {
@@ -1447,7 +1379,7 @@ void Engine::ApplyDeferredAborts(Client& client) {
       // sweeps every registered copy and must not wait forever on it.
       if (task.task.descriptor != nullptr) {
         task.task.descriptor->MarkRange(task.task.descriptor_offset, task.task.length,
-                                        CtxNow(ctx_));
+                                        ctx_->now());
       }
       CompleteTask(client, task);
     }
@@ -1457,7 +1389,7 @@ void Engine::ApplyDeferredAborts(Client& client) {
 
 uint64_t Engine::ExecutePending(Client& client, uint64_t budget) {
   uint64_t served = 0;
-  const Cycles now = CtxNow(ctx_);
+  const Cycles now = ctx_->now();
   // Every task before the retirement frontier is Done: start there.
   size_t scan = client.fire_frontier;
   while (served < budget && scan < client.pending.size()) {
@@ -1662,7 +1594,7 @@ void Engine::FireReadySgSegments(Client& client, PendingTask& task, Cycles when)
     if (segs[i].on_complete != nullptr) {
       // The per-segment KFUNC is the per-skb completion handler of the
       // per-op path: same dispatch charge, same kfuncs_run accounting.
-      ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
+      ctx_->Charge(timing_->handler_dispatch_cycles);
       segs[i].on_complete(when);
       ++stats_.kfuncs_run;
       NoteKfuncTime(when);
@@ -1683,7 +1615,7 @@ void Engine::FireRemainingSgSegments(Client& client, PendingTask& task, Cycles w
     task.sg_fired[i] = true;
     task.sg_remaining[i] = 0;
     if (segs[i].on_complete != nullptr) {
-      ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
+      ctx_->Charge(timing_->handler_dispatch_cycles);
       segs[i].on_complete(when);
       ++stats_.kfuncs_run;
       NoteKfuncTime(when);
@@ -1697,10 +1629,10 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
     return;
   }
   // FIFO-ordered completions must not overtake an earlier task whose bytes
-  // are still on a DMA channel: in blocking mode rounds retire in submission
-  // order, and the socket paths reassemble streams in handler order. The
-  // handler stays unfired; FireOrderedCompletions delivers it at the reap
-  // that lands the blocking task.
+  // are still on a DMA channel: handlers fire in submission order, and the
+  // socket paths reassemble streams in handler order. The handler stays
+  // unfired; FireOrderedCompletions delivers it at the reap that lands the
+  // earlier task.
   if (fifo_ordered && HasEarlierParked(client, task.order)) {
     return;
   }
@@ -1725,26 +1657,26 @@ void Engine::CompleteTask(Client& client, PendingTask& task, bool fifo_ordered) 
   // Any segment KFUNC not yet fired through progress fires now: the kernel
   // buffers behind an aborted vectored task must be reclaimed exactly as the
   // per-op path's completion handlers would have.
-  FireRemainingSgSegments(client, task, CtxNow(ctx_));
+  FireRemainingSgSegments(client, task, ctx_->now());
   PostHandler& handler = task.task.handler;
   switch (handler.kind) {
     case PostHandler::Kind::kNone:
       break;
     case PostHandler::Kind::kKernelFunc:
-      ChargeCtx(ctx_, timing_->handler_dispatch_cycles);
-      handler.fn(CtxNow(ctx_));
+      ctx_->Charge(timing_->handler_dispatch_cycles);
+      handler.fn(ctx_->now());
       ++stats_.kfuncs_run;
-      NoteKfuncTime(CtxNow(ctx_));
+      NoteKfuncTime(ctx_->now());
       break;
     case PostHandler::Kind::kUserFunc: {
       QueuePair* pair = task.origin != nullptr ? task.origin : &client.default_pair();
       HandlerTask ht;
       ht.fn = handler.fn;
-      ht.ready_time = CtxNow(ctx_);
+      ht.ready_time = ctx_->now();
       if (!pair->user.handler_q.TryPush(std::move(ht))) {
         // Handler queue full: execute inline as a last resort (never drop a
         // reclamation handler).
-        handler.fn(CtxNow(ctx_));
+        handler.fn(ctx_->now());
       }
       ++stats_.ufuncs_queued;
       break;
@@ -1794,10 +1726,10 @@ void Engine::DropTask(Client& client, PendingTask& task, const Status& reason) {
     }
   }
   if (task.progress != nullptr) {
-    task.progress->MarkFailed(CtxNow(ctx_));
+    task.progress->MarkFailed(ctx_->now());
   }
   if (task.task.descriptor != nullptr) {
-    task.task.descriptor->MarkFailed(CtxNow(ctx_));
+    task.task.descriptor->MarkFailed(ctx_->now());
   }
   if (client.process() != nullptr) {
     client.process()->Deliver(simos::Signal::kSegv);
@@ -1917,7 +1849,7 @@ bool Engine::HasAnyConflict(Client& client, const PendingTask& self) {
       return;
     }
     ++stats_.dep_probes;
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
+    ctx_->Charge(timing_->absorption_match_cycles);
     stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
         side, p.ref.domain(), p.ref.start(), p.length, [&](const RangeIndex::Entry& entry) {
           if (entry.task != &self && !entry.task->Done()) {
@@ -1948,7 +1880,7 @@ bool Engine::HasEarlierLiveWriter(Client& client, const PendingTask& reader) {
   CollectPieces(b, /*dst_side=*/false, 0, b.length, &pieces);
   for (const RefPiece& p : pieces) {
     ++stats_.dep_probes;
-    ChargeCtx(ctx_, timing_->absorption_match_cycles);
+    ctx_->Charge(timing_->absorption_match_cycles);
     stats_.dep_tasks_scanned += client.range_index.ForEachOverlap(
         RangeIndex::Side::kDst, p.ref.domain(), p.ref.start(), p.length,
         [&](const RangeIndex::Entry& entry) {
@@ -1991,8 +1923,8 @@ uint64_t Engine::ReapParkedDma(Client& client, Cycles now) {
   uint64_t landed = 0;
   for (size_t i : ripe) {
     Client::ParkedDma& batch = client.parked_dma[i];
-    // One completion check per batch — the charge the blocking path paid.
-    ChargeCtx(ctx_, timing_->dma_completion_check_cycles);
+    // One completion check per batch.
+    ctx_->Charge(timing_->dma_completion_check_cycles);
     stats_.dma_bytes_completed += batch.bytes;
     ++stats_.dma_batches_completed;
     landed += batch.bytes;
@@ -2060,11 +1992,11 @@ void Engine::SettleParkedRange(Client& client, PendingTask& task, size_t offset,
   if (target == 0) {
     return;  // nothing of this range is in flight
   }
-  if (ctx_ != nullptr && target > ctx_->now()) {
+  if (target > ctx_->now()) {
     stats_.dma_drain_wait_cycles += target - ctx_->now();
     ctx_->WaitUntil(target);
   }
-  ReapParkedDma(client, CtxNow(ctx_));
+  ReapParkedDma(client, ctx_->now());
 }
 
 // ---------------------------------------------------------------------------
@@ -2072,17 +2004,18 @@ void Engine::SettleParkedRange(Client& client, PendingTask& task, size_t offset,
 // ---------------------------------------------------------------------------
 
 uint64_t Engine::ServeClient(Client& client, uint64_t max_bytes) {
-  const Cycles serve_start = CtxNow(ctx_);
-  ChargeCtx(ctx_, timing_->poll_iteration_cycles);
+  const Cycles serve_start = ctx_->now();
+  const Cycles idle_start = idle_cycles_;
+  ctx_->Charge(timing_->poll_iteration_cycles);
   // Land whatever the hardware finished since the last serve before taking
   // new work: reaps unblock csync gates and retire parked tasks. This is the
   // scheduler-integrated reaper — FinishServe re-queues a client that still
   // has pending (possibly only parked) tasks, so the next pick lands here.
-  ReapParkedDma(client, CtxNow(ctx_));
+  ReapParkedDma(client, ctx_->now());
   IngestClient(client);
   ProcessSyncQueues(client);
   const uint64_t served = ExecutePending(client, max_bytes);
-  ReapParkedDma(client, CtxNow(ctx_));
+  ReapParkedDma(client, ctx_->now());
   if (served == 0 && !client.parked_dma.empty()) {
     // Nothing executable and nothing newly landed: only in-flight hardware
     // remains. Advance to the completions instead of spinning serve after
@@ -2094,16 +2027,17 @@ uint64_t Engine::ServeClient(Client& client, uint64_t max_bytes) {
       for (const Client::ParkedDma& batch : client.parked_dma) {
         earliest = std::min(earliest, batch.completion_time);
       }
-      if (ctx_ != nullptr && earliest > ctx_->now()) {
+      if (earliest > ctx_->now()) {
         stats_.dma_drain_wait_cycles += earliest - ctx_->now();
+        idle_cycles_ += earliest - ctx_->now();
         ctx_->WaitUntil(earliest);
       }
-      ReapParkedDma(client, CtxNow(ctx_));
+      ReapParkedDma(client, ctx_->now());
     }
     RetireDone(client);
   }
-  dma_.Poll(CtxNow(ctx_));
-  stats_.serve_cycles += CtxNow(ctx_) - serve_start;
+  dma_.Poll(ctx_->now());
+  stats_.serve_cycles += ctx_->now() - serve_start - (idle_cycles_ - idle_start);
   return served;
 }
 

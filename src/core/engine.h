@@ -1,8 +1,8 @@
 // Engine — the single-threaded task-processing core of the Copier service.
 //
 // One Engine instance backs one Copier (k)thread. A service (service.h) owns
-// one or more Engines and drives them from real threads; tests and the
-// virtual-time benchmark harness drive an Engine directly.
+// one or more Engines and drives them from real threads, or — for tests and
+// the virtual-time benchmark harness — from the caller in manual mode.
 //
 // Responsibilities, each mapping to a design section of the paper:
 //   * Ingestion with cross-queue Barrier Tasks — order dependency (§4.2.1):
@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/exec_context.h"
@@ -46,8 +45,7 @@ class Engine;
 // Overload feedback sink (DESIGN.md §13): engines report saturation events —
 // today DMA ring-full doorbell bounces, the moment "silently eat it on CPU"
 // becomes visible — into a service-owned instance; admission control samples
-// the counter and backs off while new events keep appearing. Null pointer
-// (standalone engines) = no reporting, bit-for-bit the old behavior.
+// the counter and backs off while new events keep appearing.
 struct OverloadSignals {
   RelaxedCounter ring_full_events;
 };
@@ -56,8 +54,8 @@ struct OverloadSignals {
 // single-threaded by construction; when a service runs a pool of them,
 // conflicts between *clients* (shared kernel buffers, foreign-space writes)
 // can span engines. The service implements these hooks over its shared range
-// ledger; a null hooks pointer (standalone engines, pool disabled) makes
-// every cross-engine path a no-op — bit-for-bit the single-engine behavior.
+// ledger; a null hooks pointer (pool disabled) makes every cross-engine path
+// a no-op — bit-for-bit the single-engine behavior.
 class CrossEngineHooks {
  public:
   virtual ~CrossEngineHooks() = default;
@@ -108,93 +106,103 @@ class CrossEngineHooks {
                                bool writes) = 0;
 };
 
+// Engine counters, one X(name) entry each, in one list. Every entry becomes a
+// uint64_t field of Engine::Stats, a RelaxedCounter of the engine's live
+// mirror, a line of Engine::stats() and a term of CopierService::TotalStats()'s
+// cross-engine sum, so adding a counter is a one-line change. Comments in the
+// list are /* */: a // comment ending in a backslash would splice the next
+// entry into the comment.
+#define COPIER_ENGINE_COUNTERS(X)                                                 \
+  X(tasks_ingested)                                                               \
+  X(tasks_completed)                                                              \
+  X(tasks_dropped) /* proactive fault handling failures */                        \
+  X(tasks_aborted)                                                                \
+  X(barriers_processed)                                                           \
+  X(sync_promotions)                                                              \
+  X(bytes_copied)   /* bytes physically moved by this engine */                   \
+  X(bytes_absorbed) /* bytes short-circuited past an intermediate */              \
+  X(avx_bytes)                                                                    \
+  /* DMA accounting is split at the submission/completion boundary so           \
+     observers can compute genuinely in-flight work (submitted - completed)      \
+     while rounds are parked (DESIGN.md §9). */                                   \
+  X(dma_bytes_submitted)                                                          \
+  X(dma_bytes_completed)                                                          \
+  X(dma_batches_submitted)                                                        \
+  X(dma_batches_completed)                                                        \
+  /* Ring-full submissions that fell back to the CPU (the failed attempt is      \
+     still charged: descriptors were written before the doorbell bounced). */    \
+  X(dma_ring_full_fallbacks)                                                      \
+  /* Engine-thread cycles busy-waiting on a DMA completion: the naive-DMA        \
+     ablation (enable_piggyback = false) submits and waits per subtask;          \
+     piggybacked rounds park instead and never stall. */                         \
+  X(dma_stall_cycles)                                                             \
+  /* Cycles spent force-settling or idle-advancing past parked batches           \
+     (barrier/csync drains, dependency settles, end-of-work reaps). */           \
+  X(dma_drain_wait_cycles)                                                        \
+  X(dma_rounds_parked) /* rounds returned with DMA in flight */                   \
+  X(kfuncs_run)                                                                   \
+  X(ufuncs_queued)                                                                \
+  X(lazy_absorbed_bytes)                                                          \
+  /* Fused IPC fast path (DESIGN.md §12): single-hop transfers that skipped      \
+     the intermediate kernel buffer. fused_ipc_bytes counts exactly the bytes    \
+     that landed through a fused task (each such byte would have been            \
+     physically moved twice on the two-step path). */                            \
+  X(fused_ipc_tasks)                                                              \
+  X(fused_ipc_bytes)                                                              \
+  /* Coordination-lookup observability (pending-range index probes). */          \
+  X(dep_probes)        /* dependency/absorption/abort lookups issued */           \
+  X(dep_tasks_scanned) /* candidate tasks examined across all probes */           \
+  /* Submission-path observability (entries, scatter-gather batches). */         \
+  X(submit_entries) /* copy-queue Copy entries ingested */                        \
+  X(submit_batches) /* of those, scatter-gather (vectored) tasks */               \
+  /* Engine-pool observability (DESIGN.md §10). serve_cycles is the virtual      \
+     time ServeClient spends working: it leaves out the clock jumps to a         \
+     task's submit time and the idle wait for parked DMA at the end of a         \
+     serve (that wait is in dma_drain_wait_cycles). */                           \
+  X(serve_cycles)                                                                 \
+  X(cross_dep_probes)      /* shared-ledger windows probed */                     \
+  X(cross_dep_settles)     /* foreign task ranges force-landed here */            \
+  X(cross_dep_defers)      /* probes bounced off a held foreign client */         \
+  X(cross_dep_wait_cycles) /* cycles synced to foreign completions */
+
 class Engine {
  public:
   // Snapshot of the engine's counters; see stats(). The live counters are
   // relaxed atomics (AtomicStats) so observers — CopierService::TotalStats,
   // benches — can read them while the owning Copier thread keeps serving.
   struct Stats {
-    uint64_t tasks_ingested = 0;
-    uint64_t tasks_completed = 0;
-    uint64_t tasks_dropped = 0;   // proactive fault handling failures
-    uint64_t tasks_aborted = 0;
-    uint64_t barriers_processed = 0;
-    uint64_t sync_promotions = 0;
-    uint64_t bytes_copied = 0;    // bytes physically moved by this engine
-    uint64_t bytes_absorbed = 0;  // bytes short-circuited past an intermediate
-    uint64_t avx_bytes = 0;
-    // DMA accounting is split at the submission/completion boundary so
-    // observers can compute genuinely in-flight work (submitted − completed)
-    // while rounds are parked (DESIGN.md §9).
-    uint64_t dma_bytes_submitted = 0;
-    uint64_t dma_bytes_completed = 0;
-    uint64_t dma_batches_submitted = 0;
-    uint64_t dma_batches_completed = 0;
-    // Ring-full submissions that fell back to the CPU (the failed attempt is
-    // still charged — descriptors were written before the doorbell bounced).
-    uint64_t dma_ring_full_fallbacks = 0;
-    // Engine-thread cycles blocked in end-of-round DMA completion waits
-    // (blocking mode; ~0 with enable_async_dma_completion).
-    uint64_t dma_stall_cycles = 0;
-    // Cycles spent force-settling or idle-advancing past parked batches
-    // (barrier/csync drains, dependency settles, end-of-work reaps).
-    uint64_t dma_drain_wait_cycles = 0;
-    uint64_t dma_rounds_parked = 0;  // rounds returned with DMA in flight
-    uint64_t kfuncs_run = 0;
-    uint64_t ufuncs_queued = 0;
-    uint64_t lazy_absorbed_bytes = 0;
-    // Always 0: the remap tier they counted is gone (DESIGN.md §11); kept
-    // only because perfbench's layer table still reads them.
-    uint64_t remapped_bytes = 0;
-    uint64_t remap_cow_breaks = 0;
-    // Fused IPC fast path (DESIGN.md §12): single-hop transfers that skipped
-    // the intermediate kernel buffer. fused_ipc_bytes counts exactly the
-    // bytes that landed through a fused task (each such byte would have been
-    // physically moved twice on the two-step path); fuse_fallbacks sums the
-    // send-time fallbacks to two-step (service-wide; filled in by
-    // CopierService::TotalStats, see IpcFuseStats for the breakdown).
-    uint64_t fused_ipc_tasks = 0;
-    uint64_t fused_ipc_bytes = 0;
-    uint64_t fuse_fallbacks = 0;
+    COPIER_ENGINE_COUNTERS(COPIER_COUNTER_FIELD)
     // Engine-clock time of the most recent KFUNC dispatch (max across engines
     // in TotalStats). The serve harness differences this against the request's
     // submit time for per-request copy-use *window* attribution — first
     // submit → last kfunc — alongside end-to-end latency.
     uint64_t last_kfunc_cycles = 0;
-    // Coordination-lookup observability (pending-range index probes).
-    uint64_t dep_probes = 0;         // dependency/absorption/abort lookups issued
-    uint64_t dep_tasks_scanned = 0;  // candidate tasks examined across all probes
-    // Submission-path observability (entries, scatter-gather batches, doorbells).
-    uint64_t submit_entries = 0;   // copy-queue Copy entries ingested
-    uint64_t submit_batches = 0;   // of those, scatter-gather (vectored) tasks
-    uint64_t notify_calls = 0;     // NotifyRunnable doorbells (service-wide;
-                                   // filled in by CopierService::TotalStats)
-    // Engine-pool observability (DESIGN.md §10).
-    uint64_t serve_cycles = 0;        // virtual cycles spent inside ServeClient
-    uint64_t cross_dep_probes = 0;    // shared-ledger windows probed
-    uint64_t cross_dep_settles = 0;   // foreign task ranges force-landed here
-    uint64_t cross_dep_defers = 0;    // probes bounced off a held foreign client
-    uint64_t cross_dep_wait_cycles = 0;  // cycles synced to foreign completions
-    // Overload admission control (DESIGN.md §13; service-wide, filled in by
-    // CopierService::TotalStats from the per-cgroup decision counters —
-    // admitted + shed + deferred-to-death sum to the requests offered through
-    // AdmitRequest).
+    // Always 0: the remap tier they counted is gone (DESIGN.md §11); kept
+    // only because perfbench's layer table still reads them.
+    uint64_t remapped_bytes = 0;
+    uint64_t remap_cow_breaks = 0;
+    // Service-wide fields, filled in by CopierService::TotalStats (0 in a
+    // single engine's stats()).
+    // Send-time fallbacks of the fused IPC path to two-step (see
+    // IpcFuseStats for the breakdown).
+    uint64_t fuse_fallbacks = 0;
+    uint64_t notify_calls = 0;  // NotifyRunnable doorbells
+    // Overload admission control (DESIGN.md §13), from the per-cgroup
+    // decision counters — admitted + shed + deferred-to-death sum to the
+    // requests offered through AdmitRequest.
     uint64_t admission_admitted = 0;
     uint64_t admission_shed = 0;
-    uint64_t admission_deferred = 0;   // defer verdicts issued (retries count)
-    uint64_t admission_throttled = 0;  // throttle verdicts issued
+    uint64_t admission_deferred = 0;         // defer verdicts issued (retries count)
+    uint64_t admission_throttled = 0;        // throttle verdicts issued
     uint64_t admission_throttle_cycles = 0;  // total backpressure wait imposed
-    uint64_t overload_ring_backoffs = 0;     // admission back-offs from ring-full
-                                             // feedback (service-wide, TotalStats)
+    uint64_t overload_ring_backoffs = 0;     // admission back-offs from ring-full feedback
   };
 
-  // Standalone engine: owns a private DMA channel pool (tests, single-engine
-  // harnesses).
-  Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx);
-  // Pool member: operates a slice of a service-owned channel pool (disjoint
-  // per engine, so channel state stays single-threaded).
+  // Operates a slice of a service-owned channel pool (disjoint per engine, so
+  // channel state stays single-threaded), charging `ctx` and reporting
+  // saturation into `overload`. CopierService builds every engine.
   Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx,
-         hw::DmaChannelSlice dma);
+         hw::DmaChannelSlice dma, OverloadSignals* overload);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -222,10 +230,6 @@ class Engine {
 
   // Installs the service's cross-engine coordination hooks (null = disabled).
   void set_cross(CrossEngineHooks* cross) { cross_ = cross; }
-  // Installs the service's overload feedback sink (null = no reporting).
-  // Unlike set_cross this is installed on every engine regardless of pool
-  // mode: reporting a counter has no behavioral side effects.
-  void set_overload_signals(OverloadSignals* signals) { overload_ = signals; }
 
   ExecContext* ctx() { return ctx_; }
   ATCache& atcache() { return atcache_; }
@@ -330,10 +334,10 @@ class Engine {
   }
   // True when a pending task ordered before `order` still has bytes on a DMA
   // channel. FIFO-ordered completions (and SG segment kfuncs) defer behind
-  // such a task: blocking mode retires rounds in submission order, so a later
-  // task's handler must not overtake an earlier in-flight one — the socket
-  // paths reassemble byte streams in handler-delivery order. O(1): reads the
-  // minimum of client.parked_orders.
+  // such a task: handlers fire in submission order, so a later task's handler
+  // must not overtake an earlier in-flight one — the socket paths reassemble
+  // byte streams in handler-delivery order. O(1): reads the minimum of
+  // client.parked_orders.
   bool HasEarlierParked(const Client& client, uint64_t order) const;
   // Fires deferred handlers in task order once the tasks blocking them have
   // landed: walks pending from the retirement frontier, firing credited SG
@@ -346,8 +350,7 @@ class Engine {
   // `fifo_ordered` marks completions reached through the plain FIFO pass:
   // they defer while an earlier-ordered task has parked bytes (see
   // HasEarlierParked) and fire later via FireOrderedCompletions. Promotion,
-  // dependency resolution and abort paths complete immediately, exactly as
-  // the blocking engine does.
+  // dependency resolution and abort paths complete immediately.
   void CompleteTask(Client& client, PendingTask& task, bool fifo_ordered = false);
   // Cross-engine settle support (DESIGN.md §10): a settle-landed task whose
   // predecessor has not fired defers its handler (HasEarlierUnfired); the
@@ -408,40 +411,10 @@ class Engine {
   // without charging the clock).
   bool RangeLanded(const PendingTask& task, size_t offset, size_t length) const;
 
-  // Live counters: field-for-field atomic mirror of Stats (same names, so
-  // counting sites read like plain integer code).
+  // Live counters: the atomic mirror of Stats (same names, so counting sites
+  // read like plain integer code).
   struct AtomicStats {
-    RelaxedCounter tasks_ingested;
-    RelaxedCounter tasks_completed;
-    RelaxedCounter tasks_dropped;
-    RelaxedCounter tasks_aborted;
-    RelaxedCounter barriers_processed;
-    RelaxedCounter sync_promotions;
-    RelaxedCounter bytes_copied;
-    RelaxedCounter bytes_absorbed;
-    RelaxedCounter avx_bytes;
-    RelaxedCounter dma_bytes_submitted;
-    RelaxedCounter dma_bytes_completed;
-    RelaxedCounter dma_batches_submitted;
-    RelaxedCounter dma_batches_completed;
-    RelaxedCounter dma_ring_full_fallbacks;
-    RelaxedCounter dma_stall_cycles;
-    RelaxedCounter dma_drain_wait_cycles;
-    RelaxedCounter dma_rounds_parked;
-    RelaxedCounter kfuncs_run;
-    RelaxedCounter ufuncs_queued;
-    RelaxedCounter lazy_absorbed_bytes;
-    RelaxedCounter fused_ipc_tasks;
-    RelaxedCounter fused_ipc_bytes;
-    RelaxedCounter dep_probes;
-    RelaxedCounter dep_tasks_scanned;
-    RelaxedCounter submit_entries;
-    RelaxedCounter submit_batches;
-    RelaxedCounter serve_cycles;
-    RelaxedCounter cross_dep_probes;
-    RelaxedCounter cross_dep_settles;
-    RelaxedCounter cross_dep_defers;
-    RelaxedCounter cross_dep_wait_cycles;
+    COPIER_ENGINE_COUNTERS(COPIER_RELAXED_COUNTER)
     // Monotonic max, not a counter: single writer (the engine thread), so a
     // relaxed load-compare-store suffices.
     std::atomic<uint64_t> last_kfunc_cycles{0};
@@ -457,14 +430,14 @@ class Engine {
   const hw::TimingModel* timing_;
   ExecContext* ctx_;
   ATCache atcache_;
-  // Channel state: a standalone engine owns its pool; a pool-member engine
-  // views a disjoint slice of the service's pool. Either way `dma_` is the
-  // single access path.
-  std::unique_ptr<hw::DmaChannelPool> own_dma_;
-  hw::DmaChannelSlice dma_;
+  hw::DmaChannelSlice dma_;  // this engine's disjoint slice of the service pool
   CrossEngineHooks* cross_ = nullptr;
-  OverloadSignals* overload_ = nullptr;
+  OverloadSignals* overload_;
   AtomicStats stats_;
+  // Clock advance the engine spent idle rather than serving: jumps to a
+  // task's submit time and end-of-serve waits for parked DMA. ServeClient
+  // leaves it out of serve_cycles. Engine thread only.
+  Cycles idle_cycles_ = 0;
   // The pair whose tasks are currently being accepted (handler routing).
   QueuePair* current_pair_ = nullptr;
 };

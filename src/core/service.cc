@@ -72,15 +72,15 @@ CopierService::CopierService(Options options)
                                                    config.dma_ring_slots);
   for (size_t i = 0; i < pool; ++i) {
     engine_ctxs_.push_back(std::make_unique<ExecContext>("copier-" + std::to_string(i)));
+    // Saturation feedback flows from every engine regardless of pool mode:
+    // reporting a counter has no behavioral side effects (unlike set_cross).
     engines_.push_back(std::make_unique<Engine>(
         options_.config, timing_, engine_ctxs_.back().get(),
-        hw::DmaChannelSlice(dma_pool_.get(), i * channels_per_engine, channels_per_engine)));
+        hw::DmaChannelSlice(dma_pool_.get(), i * channels_per_engine, channels_per_engine),
+        &overload_signals_));
     if (config.enable_engine_pool) {
       engines_.back()->set_cross(this);
     }
-    // Saturation feedback flows from every engine regardless of pool mode:
-    // reporting a counter has no behavioral side effects (unlike set_cross).
-    engines_.back()->set_overload_signals(&overload_signals_);
     shards_.push_back(std::make_unique<Shard>());
   }
   cgroups_.push_back(std::make_unique<Cgroup>("root", kDefaultCopierShares));
@@ -788,37 +788,9 @@ Engine::Stats CopierService::TotalStats() const {
   Engine::Stats total;
   for (const auto& engine : engines_) {
     const Engine::Stats s = engine->stats();
-    total.tasks_ingested += s.tasks_ingested;
-    total.tasks_completed += s.tasks_completed;
-    total.tasks_dropped += s.tasks_dropped;
-    total.tasks_aborted += s.tasks_aborted;
-    total.barriers_processed += s.barriers_processed;
-    total.sync_promotions += s.sync_promotions;
-    total.bytes_copied += s.bytes_copied;
-    total.bytes_absorbed += s.bytes_absorbed;
-    total.avx_bytes += s.avx_bytes;
-    total.dma_bytes_submitted += s.dma_bytes_submitted;
-    total.dma_bytes_completed += s.dma_bytes_completed;
-    total.dma_batches_submitted += s.dma_batches_submitted;
-    total.dma_batches_completed += s.dma_batches_completed;
-    total.dma_ring_full_fallbacks += s.dma_ring_full_fallbacks;
-    total.dma_stall_cycles += s.dma_stall_cycles;
-    total.dma_drain_wait_cycles += s.dma_drain_wait_cycles;
-    total.dma_rounds_parked += s.dma_rounds_parked;
-    total.kfuncs_run += s.kfuncs_run;
-    total.ufuncs_queued += s.ufuncs_queued;
-    total.lazy_absorbed_bytes += s.lazy_absorbed_bytes;
-    total.dep_probes += s.dep_probes;
-    total.dep_tasks_scanned += s.dep_tasks_scanned;
-    total.submit_entries += s.submit_entries;
-    total.submit_batches += s.submit_batches;
-    total.serve_cycles += s.serve_cycles;
-    total.cross_dep_probes += s.cross_dep_probes;
-    total.cross_dep_settles += s.cross_dep_settles;
-    total.cross_dep_defers += s.cross_dep_defers;
-    total.cross_dep_wait_cycles += s.cross_dep_wait_cycles;
-    total.fused_ipc_tasks += s.fused_ipc_tasks;
-    total.fused_ipc_bytes += s.fused_ipc_bytes;
+#define COPIER_SUM_COUNTER(name) total.name += s.name;
+    COPIER_ENGINE_COUNTERS(COPIER_SUM_COUNTER)
+#undef COPIER_SUM_COUNTER
     total.last_kfunc_cycles = std::max(total.last_kfunc_cycles, s.last_kfunc_cycles);
   }
   total.notify_calls = notify_calls_;
@@ -840,48 +812,22 @@ Engine::Stats CopierService::TotalStats() const {
 }
 
 void CopierService::NoteIpcFuseEvent(simos::FuseEvent event) {
-  switch (event) {
-    case simos::FuseEvent::kFused:
-      ++fuse_fused_;
-      break;
-    case simos::FuseEvent::kFallbackNotPosted:
-      ++fuse_not_posted_;
-      break;
-    case simos::FuseEvent::kFallbackWindowFull:
-      ++fuse_window_full_;
-      break;
-    case simos::FuseEvent::kFallbackPoolExhausted:
-      ++fuse_pool_exhausted_;
-      break;
-    case simos::FuseEvent::kFallbackRing:
-      ++fuse_ring_;
-      break;
-    case simos::FuseEvent::kForwardFused:
-      ++fuse_forward_fused_;
-      break;
-    case simos::FuseEvent::kFallbackForward:
-      ++fuse_forward_fallback_;
-      break;
-    case simos::FuseEvent::kRingWindowPosted:
-      ++fuse_ring_windows_posted_;
-      break;
-    case simos::FuseEvent::kRingRollover:
-      ++fuse_ring_rollovers_;
-      break;
-  }
+  // The list names every event once, so the events fill slots 0..count-1.
+#define COPIER_IPC_FUSE_BIT(event, name) | (1u << static_cast<unsigned>(simos::FuseEvent::event))
+  static_assert((0u COPIER_IPC_FUSE_COUNTERS(COPIER_IPC_FUSE_BIT)) == (1u << kFuseEventCount) - 1,
+                "COPIER_IPC_FUSE_COUNTERS must list each FuseEvent exactly once");
+#undef COPIER_IPC_FUSE_BIT
+  const size_t index = static_cast<size_t>(event);
+  COPIER_DCHECK(index < kFuseEventCount);
+  ++fuse_events_[index];
 }
 
 CopierService::IpcFuseStats CopierService::ipc_fuse_stats() const {
   IpcFuseStats stats;
-  stats.fused = fuse_fused_;
-  stats.fallback_not_posted = fuse_not_posted_;
-  stats.fallback_window_full = fuse_window_full_;
-  stats.fallback_pool_exhausted = fuse_pool_exhausted_;
-  stats.fallback_ring = fuse_ring_;
-  stats.forward_fused = fuse_forward_fused_;
-  stats.fallback_forward = fuse_forward_fallback_;
-  stats.ring_windows_posted = fuse_ring_windows_posted_;
-  stats.ring_rollovers = fuse_ring_rollovers_;
+#define COPIER_LOAD_FUSE_COUNTER(event, name) \
+  stats.name = fuse_events_[static_cast<size_t>(simos::FuseEvent::event)];
+  COPIER_IPC_FUSE_COUNTERS(COPIER_LOAD_FUSE_COUNTER)
+#undef COPIER_LOAD_FUSE_COUNTER
   return stats;
 }
 
@@ -1148,17 +1094,9 @@ Status CopierService::SettleForeign(Engine& thief, Client& client, PendingTask& 
 
 CopierService::SchedStats CopierService::sched_stats() const {
   SchedStats s;
-  s.picks = sched_stats_.picks;
-  s.pick_calls = sched_stats_.pick_calls;
-  s.pick_attempts = sched_stats_.pick_attempts;
-  s.pick_tsc_cycles = sched_stats_.pick_tsc_cycles;
-  s.clients_scanned = sched_stats_.clients_scanned;
-  s.steals = sched_stats_.steals;
-  s.steal_attempts = sched_stats_.steal_attempts;
-  s.targeted_wakeups = sched_stats_.targeted_wakeups;
-  s.broadcast_wakeups = sched_stats_.broadcast_wakeups;
-  s.reconcile_marks = sched_stats_.reconcile_marks;
-  s.dma_reap_requeues = sched_stats_.dma_reap_requeues;
+#define COPIER_LOAD_SCHED_COUNTER(name) s.name = sched_stats_.name;
+  COPIER_SCHED_COUNTERS(COPIER_LOAD_SCHED_COUNTER)
+#undef COPIER_LOAD_SCHED_COUNTER
   return s;
 }
 

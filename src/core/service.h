@@ -50,6 +50,40 @@
 
 namespace copier::core {
 
+// Scheduler counters (host-side, real counters — not the virtual cost model),
+// one X(name) entry each: they generate CopierService::SchedStats, its live
+// RelaxedCounter mirror and sched_stats(). Comments are /* */ (see
+// COPIER_ENGINE_COUNTERS).
+#define COPIER_SCHED_COUNTERS(X)                                                  \
+  X(picks)             /* successful picks (a client was returned) */             \
+  X(pick_calls)        /* PickClient invocations, including idle */               \
+  X(pick_attempts)     /* serving-CAS attempts on popped clients */               \
+  X(pick_tsc_cycles)   /* host TSC cycles spent inside PickClient */              \
+  X(clients_scanned)   /* linear baseline: clients examined */                    \
+  X(steals)            /* clients served off a foreign shard */                   \
+  X(steal_attempts)                                                               \
+  X(targeted_wakeups)  /* single-thread notify (sharded path) */                  \
+  X(broadcast_wakeups) /* Awaken() notify-all over every shard */                 \
+  X(reconcile_marks)   /* idle-path rescues of unnotified work */                 \
+  /* Serve-end re-queues issued while the client still had DMA bytes in          \
+     flight (the parked round's path back to a reaping serve, DESIGN.md §9). */  \
+  X(dma_reap_requeues)
+
+// Fused-IPC routing counters (DESIGN.md §12), one X(event, field) entry per
+// simos::FuseEvent, pairing the event with its CopierService::IpcFuseStats
+// field. The list generates the snapshot fields, the size of the
+// event-indexed live counter array and ipc_fuse_stats().
+#define COPIER_IPC_FUSE_COUNTERS(X)                                                     \
+  X(kFused, fused)                                   /* dispatched as one fused task */ \
+  X(kFallbackNotPosted, fallback_not_posted)         /* receiver window absent */       \
+  X(kFallbackWindowFull, fallback_window_full)       /* window full/too small */        \
+  X(kFallbackPoolExhausted, fallback_pool_exhausted) /* no skb/buffer token */          \
+  X(kFallbackRing, fallback_ring)                    /* ring full -> two-step */        \
+  X(kForwardFused, forward_fused)                    /* forwarded src->dest window */   \
+  X(kFallbackForward, fallback_forward)              /* forward declined -> lands */    \
+  X(kRingWindowPosted, ring_windows_posted)          /* posted behind another */        \
+  X(kRingRollover, ring_rollovers)                   /* send spilled into next */
+
 class CopierService : public CrossEngineHooks {
  public:
   enum class Mode {
@@ -63,23 +97,10 @@ class CopierService : public CrossEngineHooks {
     Mode mode = Mode::kManual;
   };
 
-  // Scheduler observability (host-side, real counters — not the virtual cost
-  // model). Snapshot type; the live counters are relaxed atomics.
+  // Scheduler counters snapshot (COPIER_SCHED_COUNTERS); the live counters
+  // are relaxed atomics.
   struct SchedStats {
-    uint64_t picks = 0;            // successful picks (a client was returned)
-    uint64_t pick_calls = 0;       // PickClient invocations, including idle
-    uint64_t pick_attempts = 0;    // serving-CAS attempts on popped clients
-    uint64_t pick_tsc_cycles = 0;  // host TSC cycles spent inside PickClient
-    uint64_t clients_scanned = 0;  // linear baseline: clients examined
-    uint64_t steals = 0;           // clients served off a foreign shard
-    uint64_t steal_attempts = 0;
-    uint64_t targeted_wakeups = 0;   // single-thread notify (sharded path)
-    uint64_t broadcast_wakeups = 0;  // Awaken() notify-all over every shard
-    uint64_t reconcile_marks = 0;    // idle-path rescues of unnotified work
-    uint64_t dma_reap_requeues = 0;  // serve-end re-queues issued while the
-                                     // client still had DMA bytes in flight
-                                     // (the parked round's path back to a
-                                     // reaping serve, DESIGN.md §9)
+    COPIER_SCHED_COUNTERS(COPIER_COUNTER_FIELD)
   };
 
   explicit CopierService(Options options);
@@ -136,8 +157,7 @@ class CopierService : public CrossEngineHooks {
   // account it as shed so offered = admitted + shed stays exact.
   void AbandonRequest(Client& client);
 
-  // Engine-facing saturation counters (engines hold a pointer; see
-  // Engine::set_overload_signals).
+  // Engine-facing saturation counters (each engine holds a pointer).
   OverloadSignals& overload_signals() { return overload_signals_; }
 
   // --- manual-mode driving -------------------------------------------------------
@@ -204,15 +224,9 @@ class CopierService : public CrossEngineHooks {
   // atomics. The fallback split distinguishes skb-pool pressure from
   // receiver-not-posted — invisible in engine stats before this.
   struct IpcFuseStats {
-    uint64_t fused = 0;                    // dispatched as one fused task
-    uint64_t fallback_not_posted = 0;      // receiver window absent
-    uint64_t fallback_window_full = 0;     // window present but full/too small
-    uint64_t fallback_pool_exhausted = 0;  // no skb/buffer flow-control token
-    uint64_t fallback_ring = 0;            // submission ring full → two-step
-    uint64_t forward_fused = 0;            // forwarded src→destination-window
-    uint64_t fallback_forward = 0;         // forward declined → landed locally
-    uint64_t ring_windows_posted = 0;      // windows posted behind another
-    uint64_t ring_rollovers = 0;           // sends spilling into a next window
+#define COPIER_IPC_FUSE_FIELD(event, name) uint64_t name = 0;
+    COPIER_IPC_FUSE_COUNTERS(COPIER_IPC_FUSE_FIELD)
+#undef COPIER_IPC_FUSE_FIELD
     uint64_t fallbacks() const {
       return fallback_not_posted + fallback_window_full + fallback_pool_exhausted +
              fallback_ring;
@@ -285,19 +299,9 @@ class CopierService : public CrossEngineHooks {
     RelaxedCounter steals_out;
   };
 
-  // Live scheduler counters (field-for-field mirror of SchedStats).
+  // Live scheduler counters (the atomic mirror of SchedStats).
   struct AtomicSchedStats {
-    RelaxedCounter picks;
-    RelaxedCounter pick_calls;
-    RelaxedCounter pick_attempts;
-    RelaxedCounter pick_tsc_cycles;
-    RelaxedCounter clients_scanned;
-    RelaxedCounter steals;
-    RelaxedCounter steal_attempts;
-    RelaxedCounter targeted_wakeups;
-    RelaxedCounter broadcast_wakeups;
-    RelaxedCounter reconcile_marks;
-    RelaxedCounter dma_reap_requeues;
+    COPIER_SCHED_COUNTERS(COPIER_RELAXED_COUNTER)
   };
 
   bool UseSharded() const {
@@ -392,16 +396,11 @@ class CopierService : public CrossEngineHooks {
   // Doorbell count (NotifyRunnable calls), service-wide: the vectored
   // submission path's O(1)-per-syscall claim is measured against this.
   mutable RelaxedCounter notify_calls_;
-  // Fused-IPC routing counters (IpcFuseStats mirror; fed by NoteIpcFuseEvent).
-  mutable RelaxedCounter fuse_fused_;
-  mutable RelaxedCounter fuse_not_posted_;
-  mutable RelaxedCounter fuse_window_full_;
-  mutable RelaxedCounter fuse_pool_exhausted_;
-  mutable RelaxedCounter fuse_ring_;
-  mutable RelaxedCounter fuse_forward_fused_;
-  mutable RelaxedCounter fuse_forward_fallback_;
-  mutable RelaxedCounter fuse_ring_windows_posted_;
-  mutable RelaxedCounter fuse_ring_rollovers_;
+  // Fused-IPC routing counters (IpcFuseStats mirror), indexed by FuseEvent.
+#define COPIER_IPC_FUSE_ONE(event, name) +1
+  static constexpr size_t kFuseEventCount = 0 COPIER_IPC_FUSE_COUNTERS(COPIER_IPC_FUSE_ONE);
+#undef COPIER_IPC_FUSE_ONE
+  mutable RelaxedCounter fuse_events_[kFuseEventCount];
 };
 
 }  // namespace copier::core

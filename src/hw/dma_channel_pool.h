@@ -98,10 +98,6 @@ class DmaChannelSlice {
   DmaChannelSlice(DmaChannelPool* pool, size_t first, size_t count)
       : pool_(pool), first_(first), count_(count) {}
 
-  // Whole-pool view (single-engine services, standalone engines).
-  explicit DmaChannelSlice(DmaChannelPool* pool)
-      : pool_(pool), first_(0), count_(pool->channel_count()) {}
-
   size_t channel_count() const { return count_; }
   DmaEngine& channel(size_t i) { return pool_->channel(first_ + i); }
   const DmaEngine& channel(size_t i) const { return pool_->channel(first_ + i); }

@@ -245,6 +245,74 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EnginePoolDifferential, ::testing::Values(1u, 7u
                            return "seed" + std::to_string(info.param);
                          });
 
+// --- counter registry ----------------------------------------------------------
+//
+// TotalStats() sums the engines' snapshots over COPIER_ENGINE_COUNTERS: after
+// a workload that runs on both engines of a pool, every listed counter must
+// equal the sum of the per-engine values, and last_kfunc_cycles their max.
+
+TEST(EnginePoolStats, TotalSumsEveryListedCounter) {
+  core::CopierConfig config;
+  config.enable_engine_pool = true;
+  config.engine_count = 2;
+  simos::SimKernel kernel;
+  core::CopierService::Options options;
+  options.config = config;
+  core::CopierService service(std::move(options));
+  core::CopierLinux glue(&service, &kernel);
+  glue.Install();
+  ASSERT_EQ(service.engine_count(), 2u);
+
+  // Two apps on different home engines, each with a DMA-sized copy, a small
+  // copy and a kernel write carrying a KFUNC.
+  constexpr size_t kBig = 512 * kKiB;
+  std::vector<uint8_t> kernel_src(8 * kKiB, 0x5a);
+  std::vector<uint8_t> kernel_dst(8 * kKiB, 0);
+  std::vector<PoolApp> apps(2);
+  for (size_t a = 0; a < apps.size(); ++a) {
+    PoolApp& app = apps[a];
+    app.proc = kernel.CreateProcess("stats" + std::to_string(a));
+    app.client = service.AttachProcess(app.proc);
+    app.lib = std::make_unique<lib::CopierLib>(app.client, &service);
+    auto buf = app.proc->mem().MapAnonymous(2 * kBig + kPageSize, "buf", true);
+    ASSERT_TRUE(buf.ok());
+    FillPattern(app.proc->mem(), *buf, kBig, 50 + a);
+    app.lib->amemcpy(*buf + kBig, *buf, kBig);
+    app.lib->amemcpy(*buf + 2 * kBig, *buf + 64, kKiB);
+    core::CopyQueueEntry entry;
+    entry.task.dst = core::MemRef::Kernel(kernel_dst.data() + 4 * kKiB * a);
+    entry.task.src = core::MemRef::Kernel(kernel_src.data());
+    entry.task.length = 4 * kKiB;
+    entry.task.handler = core::PostHandler::KernelFunc([](Cycles) {});
+    ASSERT_TRUE(app.client->default_pair().kernel.copy_q.TryPush(std::move(entry)));
+  }
+  ASSERT_NE(service.EngineIndexFor(*apps[0].client), service.EngineIndexFor(*apps[1].client));
+  for (PoolApp& app : apps) {
+    ASSERT_TRUE(app.lib->csync_all().ok());
+  }
+  service.DrainAll();
+  EXPECT_EQ(kernel_dst, std::vector<uint8_t>(8 * kKiB, 0x5a));
+
+  core::Engine::Stats sum;
+  uint64_t max_kfunc = 0;
+  for (size_t i = 0; i < service.engine_count(); ++i) {
+    const core::Engine::Stats s = service.engine_util(i).stats;
+    EXPECT_GT(s.tasks_completed, 0u) << "engine " << i << " served nothing";
+    EXPECT_GT(s.kfuncs_run, 0u) << "engine " << i;
+#define COPIER_TEST_SUM(name) sum.name += s.name;
+    COPIER_ENGINE_COUNTERS(COPIER_TEST_SUM)
+#undef COPIER_TEST_SUM
+    max_kfunc = std::max(max_kfunc, s.last_kfunc_cycles);
+  }
+  const core::Engine::Stats total = service.TotalStats();
+#define COPIER_TEST_EQ(name) EXPECT_EQ(total.name, sum.name) << #name;
+  COPIER_ENGINE_COUNTERS(COPIER_TEST_EQ)
+#undef COPIER_TEST_EQ
+  EXPECT_EQ(total.last_kfunc_cycles, max_kfunc);
+  EXPECT_GT(max_kfunc, 0u);
+  EXPECT_GT(total.dma_bytes_completed, 0u);
+}
+
 // --- real-threaded pool stress (TSan target) --------------------------------
 //
 // Four engine threads, three app threads on private arenas, and two kernel

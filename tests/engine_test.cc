@@ -162,6 +162,32 @@ TEST(Dispatch, FragmentedMemorySplitsSubtasks) {
   ExpectSameBytes(stack.proc->mem(), src, dst, n);
 }
 
+TEST(EngineStats, ServeCyclesLeaveOutTheJumpToSubmitTime) {
+  // A task submitted far ahead of the engine clock makes the engine jump to
+  // its submit time before accepting it. The jump is idle time, so
+  // serve_cycles must stay below the clock advance by about that much.
+  CopierStack stack;
+  const size_t n = 4 * kKiB;
+  const uint64_t src = stack.Map(n);
+  const uint64_t dst = stack.Map(n);
+  FillPattern(stack.proc->mem(), src, n, 13);
+  constexpr Cycles kAhead = 10'000'000;
+  ExecContext app;
+  app.Charge(stack.service->engine_ctx().now() + kAhead);
+  stack.lib->amemcpy(dst, src, n, &app);
+
+  const Cycles before = stack.service->engine_ctx().now();
+  const uint64_t serve_before = stack.service->TotalStats().serve_cycles;
+  stack.service->Serve(*stack.client);
+  const Cycles advance = stack.service->engine_ctx().now() - before;
+  const uint64_t serve = stack.service->TotalStats().serve_cycles - serve_before;
+  ASSERT_TRUE(stack.lib->csync(dst, n).ok());
+  ExpectSameBytes(stack.proc->mem(), src, dst, n);
+  EXPECT_GE(advance, kAhead);
+  EXPECT_GT(serve, 0u);
+  EXPECT_LT(serve, advance - kAhead / 2) << "the jump to the submit time is idle, not serving";
+}
+
 TEST(ATCacheTest, HitsOnBufferReuse) {
   CopierStack stack;
   const size_t n = 16 * kKiB;

@@ -428,6 +428,33 @@ TEST(IpcFuseFallback, MixedFusedAndClassicOrdering) {
   EXPECT_EQ(images[0], images[1]);
 }
 
+TEST(IpcFuse, EachEventBumpsOnlyItsOwnField) {
+  using Stats = core::CopierService::IpcFuseStats;
+  const std::vector<std::pair<simos::FuseEvent, uint64_t Stats::*>> fields = {
+      {simos::FuseEvent::kFused, &Stats::fused},
+      {simos::FuseEvent::kFallbackNotPosted, &Stats::fallback_not_posted},
+      {simos::FuseEvent::kFallbackWindowFull, &Stats::fallback_window_full},
+      {simos::FuseEvent::kFallbackPoolExhausted, &Stats::fallback_pool_exhausted},
+      {simos::FuseEvent::kFallbackRing, &Stats::fallback_ring},
+      {simos::FuseEvent::kForwardFused, &Stats::forward_fused},
+      {simos::FuseEvent::kFallbackForward, &Stats::fallback_forward},
+      {simos::FuseEvent::kRingWindowPosted, &Stats::ring_windows_posted},
+      {simos::FuseEvent::kRingRollover, &Stats::ring_rollovers},
+  };
+  ASSERT_EQ(fields.size(), static_cast<size_t>(simos::FuseEvent::kRingRollover) + 1);
+  core::CopierService service({});
+  for (const auto& [event, field] : fields) {
+    const Stats before = service.ipc_fuse_stats();
+    service.NoteIpcFuseEvent(event);
+    const Stats after = service.ipc_fuse_stats();
+    for (const auto& [other, other_field] : fields) {
+      EXPECT_EQ(after.*other_field, before.*other_field + (other == event ? 1 : 0))
+          << "event " << static_cast<int>(event) << ", field of event "
+          << static_cast<int>(other);
+    }
+  }
+}
+
 TEST(IpcFuse, RecvRejectedWhileWindowPosted) {
   CopierStack stack;
   simos::Process* peer = stack.kernel->CreateProcess("peer");
