@@ -1,5 +1,5 @@
 // Engine-pool sweep (DESIGN.md §10): the same 8-client copy workload runs
-// over pools of 1 -> 8 engines, plus the enable_engine_pool=false ablation.
+// over pools of 1 -> 8 engines.
 //
 // Scaling is measured in virtual time: every engine owns a cycle clock, so
 // aggregate throughput is total payload divided by the *busiest* engine's
@@ -8,8 +8,8 @@
 // pool should scale near-linearly; the acceptance floor is 3x aggregate
 // GiB/s at 8 engines. A second sweep drives a real-threaded service (one OS
 // thread per engine) from 8 app threads to exercise the same topology under
-// actual concurrency. Every configuration must land byte-identical images
-// (per-client FNV-1a checksums against the 1-engine run).
+// actual concurrency. Every configuration must land every destination slot
+// byte-identical to its client's source slot.
 //
 // Below the floor the bench prints a "scaling gate NO" line, which
 // scripts/bench_smoke.sh greps for.
@@ -38,13 +38,12 @@ constexpr double kScalingFloor = 3.0;  // 1 -> 8 engines, virtual sweep
 
 struct EngineResult {
   size_t engines = 0;
-  bool pool_enabled = true;
   uint64_t bytes = 0;
   Cycles busy_max = 0;       // busiest engine's busy cycles: the critical path
   Cycles busy_sum = 0;       // total engine busy cycles (work conservation)
   uint64_t steals = 0;
   uint64_t cross_probes = 0;
-  uint64_t checksum = 0;     // combined per-client destination FNV-1a
+  bool matches_source = true;  // every destination slot equals its source slot
   double wall_ms = 0;        // host time (threaded sweep only)
 };
 
@@ -54,13 +53,6 @@ struct BenchClient {
   std::unique_ptr<lib::CopierLib> lib;
   uint64_t arena = 0;
 };
-
-uint64_t Fnv1a(const uint8_t* data, size_t n, uint64_t hash) {
-  for (size_t i = 0; i < n; ++i) {
-    hash = (hash ^ data[i]) * 1099511628211ull;
-  }
-  return hash;
-}
 
 std::vector<BenchClient> MakeClients(simos::SimKernel& kernel, core::CopierService& service,
                                      size_t slot_bytes) {
@@ -83,21 +75,19 @@ std::vector<BenchClient> MakeClients(simos::SimKernel& kernel, core::CopierServi
   return clients;
 }
 
-uint64_t CombinedChecksum(std::vector<BenchClient>& clients, size_t slot_bytes) {
-  uint64_t hash = 1469598103934665603ull;
-  std::vector<uint8_t> image(kSlots * slot_bytes);
+bool MatchesSource(std::vector<BenchClient>& clients, size_t slot_bytes) {
   for (BenchClient& c : clients) {
-    COPIER_CHECK(c.proc->mem().ReadBytes(c.arena + slot_bytes, image.data(), image.size()).ok());
-    hash = Fnv1a(image.data(), image.size(), hash);
+    if (!SlotsMatchSource(c.proc->mem(), c.arena, kSlots, slot_bytes)) {
+      return false;
+    }
   }
-  return hash;
+  return true;
 }
 
 // Virtual-time sweep: manual mode, engines pumped explicitly through each
 // client's csync_all (home-engine affinity routes every pump).
-EngineResult RunVirtual(const hw::TimingModel& t, size_t engines, bool pool_enabled) {
+EngineResult RunVirtual(const hw::TimingModel& t, size_t engines) {
   core::CopierConfig config;
-  config.enable_engine_pool = pool_enabled;
   config.engine_count = engines;
   simos::SimKernel kernel;
   core::CopierService::Options options;
@@ -128,7 +118,6 @@ EngineResult RunVirtual(const hw::TimingModel& t, size_t engines, bool pool_enab
 
   EngineResult result;
   result.engines = engines;
-  result.pool_enabled = pool_enabled;
   result.bytes = static_cast<uint64_t>(kClients) * kSlots * kSlotBytes;
   for (size_t e = 0; e < pool; ++e) {
     const Cycles busy = service.engine_ctx(e).now() - starts[e];
@@ -137,7 +126,7 @@ EngineResult RunVirtual(const hw::TimingModel& t, size_t engines, bool pool_enab
   }
   const core::Engine::Stats stats = service.TotalStats();
   result.cross_probes = stats.cross_dep_probes;
-  result.checksum = CombinedChecksum(clients, kSlotBytes);
+  result.matches_source = MatchesSource(clients, kSlotBytes);
   return result;
 }
 
@@ -146,7 +135,6 @@ EngineResult RunThreaded(size_t engines) {
   simos::SimKernel kernel;
   core::CopierService::Options options;
   options.mode = core::CopierService::Mode::kThreaded;
-  options.config.enable_engine_pool = true;
   options.config.engine_count = engines;
   options.config.min_threads = engines;
   options.config.max_threads = engines;
@@ -199,7 +187,7 @@ EngineResult RunThreaded(size_t engines) {
   result.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
   service.Stop();
-  result.checksum = CombinedChecksum(clients, kThreadedSlotBytes);
+  result.matches_source = MatchesSource(clients, kThreadedSlotBytes);
   return result;
 }
 
@@ -210,28 +198,22 @@ void Run(int argc, char** argv) {
 
   std::vector<EngineResult> sweep;
   for (size_t engines : engine_counts) {
-    sweep.push_back(RunVirtual(t, engines, /*pool_enabled=*/true));
+    sweep.push_back(RunVirtual(t, engines));
   }
-  const EngineResult ablation = RunVirtual(t, 8, /*pool_enabled=*/false);
   const EngineResult& base = sweep.front();
 
   TextTable table({"config", "agg GiB/s", "vs 1 engine", "busy max us", "busy sum us",
-                   "cross probes", "identical"});
-  auto add_row = [&](const EngineResult& r, const std::string& label) {
-    table.AddRow({label, TextTable::Num(GiBps(r.bytes, r.busy_max)),
+                   "cross probes", "matches source"});
+  for (const EngineResult& r : sweep) {
+    table.AddRow({std::to_string(r.engines) + " engines",
+                  TextTable::Num(GiBps(r.bytes, r.busy_max)),
                   TextTable::Num(static_cast<double>(base.busy_max) / r.busy_max, 2) + "x",
                   TextTable::Num(Us(r.busy_max)), TextTable::Num(Us(r.busy_sum)),
-                  TextTable::Num(r.cross_probes, 0),
-                  r.checksum == base.checksum ? "yes" : "NO"});
-    if (r.checksum != base.checksum) {
-      std::fprintf(stderr, "MISMATCH: %s image differs from the 1-engine run\n",
-                   label.c_str());
+                  TextTable::Num(r.cross_probes, 0), r.matches_source ? "yes" : "NO"});
+    if (!r.matches_source) {
+      std::fprintf(stderr, "MISMATCH: %zu-engine image differs from the source\n", r.engines);
     }
-  };
-  for (const EngineResult& r : sweep) {
-    add_row(r, std::to_string(r.engines) + " engines");
   }
-  add_row(ablation, "pool disabled (ablation)");
   table.Print();
   const double speedup_8x = static_cast<double>(base.busy_max) / sweep.back().busy_max;
   std::printf("\nscaling 1 -> 8 engines: %.2fx aggregate GiB/s (acceptance floor 3x)\n",
@@ -248,15 +230,16 @@ void Run(int argc, char** argv) {
   }
   const EngineResult& tbase = threaded.front();
   TextTable ttable({"config", "agg GiB/s", "vs 1 engine", "busy max us", "steals",
-                    "wall ms", "identical"});
+                    "wall ms", "matches source"});
   for (const EngineResult& r : threaded) {
     ttable.AddRow({std::to_string(r.engines) + " engines",
                    TextTable::Num(GiBps(r.bytes, r.busy_max)),
                    TextTable::Num(static_cast<double>(tbase.busy_max) / r.busy_max, 2) + "x",
                    TextTable::Num(Us(r.busy_max)), TextTable::Num(r.steals, 0),
-                   TextTable::Num(r.wall_ms), r.checksum == tbase.checksum ? "yes" : "NO"});
-    if (r.checksum != tbase.checksum) {
-      std::fprintf(stderr, "MISMATCH: %zu-engine threaded image differs\n", r.engines);
+                   TextTable::Num(r.wall_ms), r.matches_source ? "yes" : "NO"});
+    if (!r.matches_source) {
+      std::fprintf(stderr, "MISMATCH: %zu-engine threaded image differs from the source\n",
+                   r.engines);
     }
   }
   ttable.Print();
@@ -266,15 +249,14 @@ void Run(int argc, char** argv) {
   if (HasFlag(argc, argv, "--json")) {
     std::ofstream out("BENCH_engines.json");
     auto emit = [&](const EngineResult& r, const EngineResult& b) {
-      out << "{\"engines\": " << r.engines << ", \"pool_enabled\": "
-          << (r.pool_enabled ? "true" : "false")
+      out << "{\"engines\": " << r.engines
           << ", \"agg_gibps\": " << GiBps(r.bytes, r.busy_max)
           << ", \"busy_max_cycles\": " << r.busy_max
           << ", \"busy_sum_cycles\": " << r.busy_sum
           << ", \"cross_probes\": " << r.cross_probes
           << ", \"steals\": " << r.steals
           << ", \"speedup_vs_1\": " << static_cast<double>(b.busy_max) / r.busy_max
-          << ", \"identical_result\": " << (r.checksum == b.checksum ? "true" : "false")
+          << ", \"identical_result\": " << (r.matches_source ? "true" : "false")
           << "}";
     };
     out << "{\n  \"bench\": \"engines\",\n  \"clients\": " << kClients
@@ -285,9 +267,7 @@ void Run(int argc, char** argv) {
       emit(sweep[i], base);
       out << (i + 1 < sweep.size() ? "," : "") << "\n";
     }
-    out << "  ],\n  \"ablation_pool_disabled\": ";
-    emit(ablation, base);
-    out << ",\n  \"threaded_sweep\": [\n";
+    out << "  ],\n  \"threaded_sweep\": [\n";
     for (size_t i = 0; i < threaded.size(); ++i) {
       out << "    ";
       emit(threaded[i], tbase);

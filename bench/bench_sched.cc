@@ -1,18 +1,14 @@
 // Scheduler sweep: host-side pick cost of the sharded run-queue scheduler
-// (service.h, DESIGN.md §7) vs the global-mutex linear double scan, under
-// real Copier threads.
+// (service.h, DESIGN.md §7) under real Copier threads.
 //
-// Every configuration runs the SAME submission stream — each client copies a
-// private source slot into `slots` destination slots, all submitted before
-// Start() — in both scheduler modes, and checks the final memory images are
-// identical. Reported per mode (host TSC, not the virtual cost model):
+// Every configuration runs the same kind of submission stream — each client
+// copies a private source slot into `slots` destination slots, all submitted
+// before Start() — and checks every destination slot against its source
+// slot. Reported per configuration (host TSC, not the virtual cost model):
 //   * pick cyc/call   — TSC cycles per PickClient invocation,
-//   * scanned/call    — clients examined per call (linear baseline only),
-//   * steals, targeted vs broadcast wakeups, reconcile rescues.
-// The sharded pick is O(log n) under a per-shard lock, so cyc/call should
-// stay roughly flat as the client count sweeps 8 -> 1024 while the linear
-// baseline — which walks every client under the global mutex on every call —
-// grows linearly.
+//   * picks and pick calls, steals, targeted wakeups, reconcile rescues.
+// The pick is O(log n) under a per-shard lock, so cyc/call should stay
+// roughly flat as the client count sweeps 8 -> 1024.
 //
 // --json additionally writes BENCH_sched.json for scripts/bench_smoke.sh.
 #include "bench/bench_util.h"
@@ -36,11 +32,13 @@ namespace {
 constexpr size_t kTotalTasks = 2048;
 constexpr size_t kSlotBytes = 4 * kKiB;
 
-struct ModeResult {
+struct RunResult {
+  size_t threads = 0;
+  size_t clients = 0;
   core::CopierService::SchedStats sched;
   uint64_t bytes_copied = 0;
   double wall_ms = 0;
-  uint64_t checksum = 0;  // FNV-1a over every worker's final arena image
+  bool matches_source = true;  // every destination slot equals its source slot
 };
 
 // One attached process: a read-only source slot plus `slots` destinations.
@@ -68,13 +66,12 @@ struct SchedWorker {
   uint64_t arena = 0;
 };
 
-ModeResult RunConfig(size_t threads, size_t clients, bool sharded) {
+RunResult RunConfig(size_t threads, size_t clients) {
   simos::SimKernel kernel;
   core::CopierService::Options options;
   options.mode = core::CopierService::Mode::kThreaded;
   options.config.min_threads = threads;
   options.config.max_threads = threads;
-  options.config.enable_sharded_scheduler = sharded;
   options.config.idle_spins_before_sleep = 256;  // reach the steal path
   core::CopierService service(std::move(options));
 
@@ -99,138 +96,91 @@ ModeResult RunConfig(size_t threads, size_t clients, bool sharded) {
   }
   const auto wall_end = std::chrono::steady_clock::now();
 
-  ModeResult result;
+  RunResult result;
+  result.threads = threads;
+  result.clients = clients;
   result.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
-  uint64_t hash = 1469598103934665603ull;  // FNV-1a
-  std::vector<uint8_t> image;
   for (auto& worker : workers) {
-    image.resize((worker->slots + 1) * kSlotBytes);
-    COPIER_CHECK(worker->proc->mem().ReadBytes(worker->arena, image.data(), image.size()).ok());
-    for (uint8_t byte : image) {
-      hash = (hash ^ byte) * 1099511628211ull;
-    }
+    result.matches_source &=
+        SlotsMatchSource(worker->proc->mem(), worker->arena, worker->slots, kSlotBytes);
   }
-  result.checksum = hash;
   result.sched = service.sched_stats();
   result.bytes_copied = service.TotalStats().bytes_copied;
   service.Stop();
   return result;
 }
 
-double CycPerCall(const ModeResult& r) {
+double CycPerCall(const RunResult& r) {
   return static_cast<double>(r.sched.pick_tsc_cycles) /
          std::max<uint64_t>(1, r.sched.pick_calls);
 }
 
-double ScanPerCall(const ModeResult& r) {
-  return static_cast<double>(r.sched.clients_scanned) /
-         std::max<uint64_t>(1, r.sched.pick_calls);
-}
-
-struct Row {
-  size_t threads = 0;
-  size_t clients = 0;
-  ModeResult sharded;
-  ModeResult linear;
-};
-
-void AddRow(TextTable& table, const Row& row) {
-  const double shard_cyc = CycPerCall(row.sharded);
-  const double lin_cyc = CycPerCall(row.linear);
-  table.AddRow({TextTable::Num(row.threads, 0), TextTable::Num(row.clients, 0),
-                TextTable::Num(shard_cyc, 0), TextTable::Num(lin_cyc, 0),
-                TextTable::Num(lin_cyc / shard_cyc, 1) + "x",
-                TextTable::Num(ScanPerCall(row.linear), 1),
-                TextTable::Num(row.sharded.sched.steals, 0),
-                TextTable::Num(row.sharded.sched.targeted_wakeups, 0),
-                row.sharded.checksum == row.linear.checksum ? "yes" : "NO"});
-  if (row.sharded.checksum != row.linear.checksum) {
-    std::fprintf(stderr, "MISMATCH at %zu threads / %zu clients\n", row.threads,
-                 row.clients);
+void AddRow(TextTable& table, const RunResult& r) {
+  table.AddRow({TextTable::Num(r.threads, 0), TextTable::Num(r.clients, 0),
+                TextTable::Num(CycPerCall(r), 0), TextTable::Num(r.sched.picks, 0),
+                TextTable::Num(r.sched.pick_calls, 0), TextTable::Num(r.sched.steals, 0),
+                TextTable::Num(r.sched.targeted_wakeups, 0), TextTable::Num(r.wall_ms, 2),
+                r.matches_source ? "yes" : "NO"});
+  if (!r.matches_source) {
+    std::fprintf(stderr, "MISMATCH: a destination slot differs from its source at %zu "
+                 "threads / %zu clients\n", r.threads, r.clients);
   }
 }
 
-void EmitModeJson(std::ofstream& out, const char* key, const ModeResult& r) {
-  out << "     \"" << key << "\": {\"pick_calls\": " << r.sched.pick_calls
-      << ", \"picks\": " << r.sched.picks
-      << ", \"pick_tsc_cycles\": " << r.sched.pick_tsc_cycles
-      << ", \"cyc_per_pick_call\": " << CycPerCall(r)
-      << ", \"clients_scanned\": " << r.sched.clients_scanned
-      << ", \"scanned_per_call\": " << ScanPerCall(r)
-      << ", \"steals\": " << r.sched.steals
-      << ", \"steal_attempts\": " << r.sched.steal_attempts
-      << ", \"targeted_wakeups\": " << r.sched.targeted_wakeups
-      << ", \"broadcast_wakeups\": " << r.sched.broadcast_wakeups
-      << ", \"reconcile_marks\": " << r.sched.reconcile_marks
-      << ", \"bytes_copied\": " << r.bytes_copied
-      << ", \"wall_ms\": " << r.wall_ms << "}";
-}
-
-void EmitRowsJson(std::ofstream& out, const std::vector<Row>& rows) {
+void EmitRowsJson(std::ofstream& out, const std::vector<RunResult>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    out << "    {\"threads\": " << row.threads << ", \"clients\": " << row.clients
-        << ",\n";
-    EmitModeJson(out, "sharded", row.sharded);
-    out << ",\n";
-    EmitModeJson(out, "linear", row.linear);
-    out << ",\n     \"cyc_per_call_ratio\": "
-        << CycPerCall(row.linear) / CycPerCall(row.sharded)
-        << ", \"identical_result\": "
-        << (row.sharded.checksum == row.linear.checksum ? "true" : "false") << "}"
+    const RunResult& r = rows[i];
+    out << "    {\"threads\": " << r.threads << ", \"clients\": " << r.clients
+        << ", \"pick_calls\": " << r.sched.pick_calls
+        << ", \"picks\": " << r.sched.picks
+        << ", \"pick_tsc_cycles\": " << r.sched.pick_tsc_cycles
+        << ", \"cyc_per_pick_call\": " << CycPerCall(r)
+        << ", \"steals\": " << r.sched.steals
+        << ", \"steal_attempts\": " << r.sched.steal_attempts
+        << ", \"targeted_wakeups\": " << r.sched.targeted_wakeups
+        << ", \"broadcast_wakeups\": " << r.sched.broadcast_wakeups
+        << ", \"reconcile_marks\": " << r.sched.reconcile_marks
+        << ", \"bytes_copied\": " << r.bytes_copied
+        << ", \"wall_ms\": " << r.wall_ms
+        << ", \"matches_source\": " << (r.matches_source ? "true" : "false") << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
 }
 
 void Run(int argc, char** argv) {
-  PrintBanner("Scheduler sweep: sharded run queues vs global-mutex linear scan");
-  std::printf("(host TSC per PickClient call; %zu tasks x %zu KiB per run, both modes "
-              "byte-checked)\n\n",
+  PrintBanner("Scheduler sweep: sharded run queues under real Copier threads");
+  std::printf("(host TSC per PickClient call; %zu tasks x %zu KiB per run, every slot "
+              "byte-checked against its source)\n\n",
               kTotalTasks, kSlotBytes / kKiB);
 
-  const std::vector<const char*> header = {"threads",   "clients",   "cyc/call shard",
-                                           "cyc/call lin", "ratio",  "scan/call lin",
-                                           "steals",    "targeted wakes", "identical"};
+  const std::vector<const char*> header = {"threads", "clients",        "cyc/call",
+                                           "picks",   "pick calls",     "steals",
+                                           "targeted wakes", "wall ms", "matches source"};
 
   // Client sweep at a fixed thread count: pick cost vs run-queue population.
   const size_t kSweepThreads = 4;
-  std::vector<Row> client_rows;
+  std::vector<RunResult> client_rows;
   TextTable client_table({header.begin(), header.end()});
   for (size_t clients : {size_t{8}, size_t{64}, size_t{256}, size_t{1024}}) {
-    Row row;
-    row.threads = kSweepThreads;
-    row.clients = clients;
-    row.sharded = RunConfig(kSweepThreads, clients, /*sharded=*/true);
-    row.linear = RunConfig(kSweepThreads, clients, /*sharded=*/false);
-    client_rows.push_back(row);
-    AddRow(client_table, row);
+    client_rows.push_back(RunConfig(kSweepThreads, clients));
+    AddRow(client_table, client_rows.back());
   }
   client_table.Print();
 
   // Thread sweep at a fixed client count: contention on the pick path.
   const size_t kSweepClients = 256;
-  std::vector<Row> thread_rows;
+  std::vector<RunResult> thread_rows;
   TextTable thread_table({header.begin(), header.end()});
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    Row row;
-    row.threads = threads;
-    row.clients = kSweepClients;
-    row.sharded = RunConfig(threads, kSweepClients, /*sharded=*/true);
-    row.linear = RunConfig(threads, kSweepClients, /*sharded=*/false);
-    thread_rows.push_back(row);
-    AddRow(thread_table, row);
+    thread_rows.push_back(RunConfig(threads, kSweepClients));
+    AddRow(thread_table, thread_rows.back());
   }
   std::printf("\n");
   thread_table.Print();
 
-  const double flat = CycPerCall(client_rows.back().sharded) /
-                      CycPerCall(client_rows.front().sharded);
-  std::printf("\nsharded cyc/call growth 8 -> 1024 clients: %.2fx "
-              "(linear baseline: %.2fx)\n",
-              flat,
-              CycPerCall(client_rows.back().linear) /
-                  CycPerCall(client_rows.front().linear));
+  std::printf("\ncyc/call growth 8 -> 1024 clients: %.2fx\n",
+              CycPerCall(client_rows.back()) / CycPerCall(client_rows.front()));
 
   if (HasFlag(argc, argv, "--json")) {
     std::ofstream out("BENCH_sched.json");

@@ -13,6 +13,18 @@ bool HasFlag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
+bool SlotsMatchSource(simos::AddressSpace& mem, uint64_t arena, size_t slots,
+                      size_t slot_bytes) {
+  std::vector<uint8_t> image((slots + 1) * slot_bytes);
+  COPIER_CHECK(mem.ReadBytes(arena, image.data(), image.size()).ok());
+  for (size_t i = 1; i <= slots; ++i) {
+    if (std::memcmp(image.data() + i * slot_bytes, image.data(), slot_bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 PercentileSummary Summarize(const Histogram& hist) {
   PercentileSummary summary;
   if (hist.Count() == 0) {

@@ -48,6 +48,12 @@ PercentileSummary Summarize(const Histogram& hist);
 const hw::TimingModel& SelectTiming(int argc, char** argv);
 bool HasFlag(int argc, char** argv, const std::string& flag);
 
+// True when each of the `slots` destination slots that follow the source slot
+// at `arena` (slot_bytes each) holds the source slot's bytes: the byte check
+// of the copy-wave benches.
+bool SlotsMatchSource(simos::AddressSpace& mem, uint64_t arena, size_t slots,
+                      size_t slot_bytes);
+
 // A full virtual-time stack: kernel + manual-mode service + glue.
 class BenchStack {
  public:

@@ -159,10 +159,20 @@ ServeResult RunServe(const ServeOptions& options, bool threaded) {
     }
   };
 
+  // Reads the whole reply into conn.buf. Recv returns only what the socket
+  // holds, and under real threads a reply longer than one skb can still be
+  // landing: a short read must keep going at conn.buf + got, or the rest of
+  // this reply would become the start of the next one on the connection.
   auto recv_reply = [&](Conn& conn, size_t reply_len, ExecContext& cctx) {
-    auto reply = kernel->Recv(*conn.app->proc(), conn.sock, conn.buf, reply_len, &cctx);
+    size_t got = 0;
     uint64_t spins = 0;
-    while (!reply.ok()) {
+    while (got < reply_len) {
+      auto reply =
+          kernel->Recv(*conn.app->proc(), conn.sock, conn.buf + got, reply_len - got, &cctx);
+      if (reply.ok()) {
+        got += *reply;
+        continue;
+      }
       if (!threaded) {
         COPIER_CHECK(kv_client != nullptr) << reply.status().ToString();
         service->Serve(*kv_client);
@@ -174,7 +184,6 @@ ServeResult RunServe(const ServeOptions& options, bool threaded) {
         }
         COPIER_CHECK(spins < (1ull << 26)) << "serve reply stuck: " << reply.status().ToString();
       }
-      reply = kernel->Recv(*conn.app->proc(), conn.sock, conn.buf, reply_len, &cctx);
     }
   };
 

@@ -57,30 +57,21 @@ struct CopierConfig {
 
   // Engine pool (DESIGN.md §10): the service runs `engine_count` copier
   // instances, each owning a disjoint slice of the DMA channel pool, with
-  // client home-engine affinity (id % engine_count) and cross-engine work
-  // stealing. Off = exactly one engine and no cross-engine range ledger —
-  // bit-for-bit the single-engine path.
-  bool enable_engine_pool = true;
+  // client home-engine affinity (id % engine_count), cross-engine work
+  // stealing and a shared-range ledger. A single engine is engine_count = 1.
   // 0 = auto: one engine per service thread in threaded mode (max_threads),
   // one engine in manual mode (manual callers drive engines explicitly).
   // Threaded mode runs one thread per engine, so the pool is clamped to
   // max_threads there; raise max_threads alongside engine_count.
   size_t engine_count = 0;
 
-  // Sharded scheduler (threaded mode): per-engine run queues with O(log n)
-  // picks, event-driven runnable marking, targeted wakeups and work stealing.
-  // Off = the global-mutex double-scan baseline (ablation / bench_sched
-  // "linear" mode). Manual mode always uses the linear scan: manual callers
-  // drive specific clients themselves and direct ring pushes (tests) never
-  // issue runnable notifications.
-  bool enable_sharded_scheduler = true;
-  // An idle shard steals the highest-backlog runnable client from the most
-  // loaded shard before sleeping. Required for full throughput when a hot
-  // client hashes onto a busy shard; disable only for ablation.
+  // Threaded-mode scheduling (DESIGN.md §7): per-engine run queues with
+  // O(log n) picks, event-driven runnable marking and a targeted wakeup of
+  // the shard owner's thread. An idle shard steals the highest-backlog
+  // runnable client from the most loaded shard before sleeping. Required for
+  // full throughput when a hot client hashes onto a busy shard; disable only
+  // for ablation (the fairness test pins clients to their home shards).
   bool enable_work_stealing = true;
-  // Submission wakes only the thread owning the client's home shard instead
-  // of notify_all on every thread (the thundering herd baseline).
-  bool enable_targeted_wakeup = true;
 
   // Overload admission control (DESIGN.md §13). Request submitters consult
   // CopierService::AdmitRequest before pushing a request's copy work; the

@@ -129,8 +129,8 @@ thread_local bool t_fire_cascade = false;
 }  // namespace
 
 Engine::Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx,
-               hw::DmaChannelSlice dma, OverloadSignals* overload)
-    : config_(config), timing_(timing), ctx_(ctx), dma_(dma), overload_(overload) {}
+               hw::DmaChannelSlice dma, OverloadSignals* overload, CrossEngineHooks* cross)
+    : config_(config), timing_(timing), ctx_(ctx), dma_(dma), overload_(overload), cross_(cross) {}
 
 Engine::Stats Engine::stats() const {
   Stats s;
@@ -236,9 +236,7 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   if (!valid.ok()) {
     // A submitter-stamped sequence dies with the task: retire it so it
     // cannot hold back tombstone pruning forever.
-    if (cross_ != nullptr) {
-      cross_->RetireGlobalSeq(pending->task.gseq);
-    }
+    cross_->RetireGlobalSeq(pending->task.gseq);
     // Never entered the pending list: there is no Done transition to record.
     pending->done_processed = true;
     DropTask(client, *pending, valid);
@@ -251,27 +249,19 @@ void Engine::AcceptTask(Client& client, QueuePair& pair, CopyTask task, bool ker
   // service-global submission sequence — the submitter's stamp when present,
   // else the next sequence number at ingestion — and register shared-visible
   // ranges in the service ledger so foreign engines can order against them.
-  if (cross_ != nullptr) {
-    pending->gseq = pending->task.gseq != 0 ? pending->task.gseq : cross_->NextGlobalSeq();
-    pending->shared_visible = TaskIsSharedVisible(client, *pending);
-  } else {
-    // Pool disabled: per-client order doubles as the sequence (monotone, and
-    // only ever compared against this client's own entries).
-    pending->gseq = pending->task.gseq != 0 ? pending->task.gseq : pending->order;
-  }
+  pending->gseq = pending->task.gseq != 0 ? pending->task.gseq : cross_->NextGlobalSeq();
+  pending->shared_visible = TaskIsSharedVisible(client, *pending);
   PendingTask* accepted = pending.get();
   client.pending.push_back(std::move(pending));
   client.pending_count.store(client.pending.size(), std::memory_order_release);
   client.live_gseqs.insert(accepted->gseq);
   IndexInsert(client, *accepted);
-  if (cross_ != nullptr) {
-    if (accepted->shared_visible) {
-      cross_->RegisterShared(client, *accepted);
-    } else {
-      // Private tasks never probe the ledger; their sequence stops being
-      // outstanding the moment that is decided.
-      cross_->RetireGlobalSeq(accepted->gseq);
-    }
+  if (accepted->shared_visible) {
+    cross_->RegisterShared(client, *accepted);
+  } else {
+    // Private tasks never probe the ledger; their sequence stops being
+    // outstanding the moment that is decided.
+    cross_->RetireGlobalSeq(accepted->gseq);
   }
   ++stats_.tasks_ingested;
 }
@@ -1215,7 +1205,7 @@ Status Engine::ExecuteTaskRange(Client& client, PendingTask& task, size_t offset
   // after us (dead-write suppression) and force-land live foreign conflicts
   // ordered before us. kUnavailable from a held foreign client propagates to
   // the caller as a defer — never a drop.
-  if (cross_ != nullptr && task.shared_visible) {
+  if (task.shared_visible) {
     COPIER_RETURN_IF_ERROR(CrossSettle(client, task, offset, length));
   }
   COPIER_RETURN_IF_ERROR(ResolveDependencies(client, task, offset, length, depth));
@@ -1768,7 +1758,7 @@ void Engine::RetireDone(Client& client) {
     // the domain turned shared has no ledger tombstone — this log entry is
     // the only record a foreign lower-gseq prober can import (SettleForeign's
     // owner-log probe). Keep it while such a prober may still be outstanding.
-    return cross_ != nullptr && cross_->LandedWriteStillNeeded(w.domain, w.gseq);
+    return cross_->LandedWriteStillNeeded(w.domain, w.gseq);
   });
 }
 
@@ -1836,7 +1826,7 @@ void Engine::OnTaskDone(Client& client, PendingTask& task) {
       client.completed_writes.Insert({task.gseq, p.ref.domain(), p.ref.start(), p.length});
     }
   }
-  if (cross_ != nullptr && task.shared_visible) {
+  if (task.shared_visible) {
     cross_->UnregisterShared(client, task);
   }
 }

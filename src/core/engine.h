@@ -54,8 +54,8 @@ struct OverloadSignals {
 // single-threaded by construction; when a service runs a pool of them,
 // conflicts between *clients* (shared kernel buffers, foreign-space writes)
 // can span engines. The service implements these hooks over its shared range
-// ledger; a null hooks pointer (pool disabled) makes every cross-engine path
-// a no-op — bit-for-bit the single-engine behavior.
+// ledger, for every pool size: with one engine they order the conflicts
+// between that engine's clients the same way.
 class CrossEngineHooks {
  public:
   virtual ~CrossEngineHooks() = default;
@@ -199,10 +199,11 @@ class Engine {
   };
 
   // Operates a slice of a service-owned channel pool (disjoint per engine, so
-  // channel state stays single-threaded), charging `ctx` and reporting
-  // saturation into `overload`. CopierService builds every engine.
+  // channel state stays single-threaded), charging `ctx`, reporting
+  // saturation into `overload` and coordinating with the other engines of
+  // the pool through `cross`. CopierService builds every engine.
   Engine(const CopierConfig& config, const hw::TimingModel* timing, ExecContext* ctx,
-         hw::DmaChannelSlice dma, OverloadSignals* overload);
+         hw::DmaChannelSlice dma, OverloadSignals* overload, CrossEngineHooks* cross);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -227,9 +228,6 @@ class Engine {
   // entries — the owner may be mid-iteration over them up-stack.
   Status SettleSharedRange(Client& client, uint64_t domain, uint64_t start, size_t length,
                            uint64_t gseq_bound);
-
-  // Installs the service's cross-engine coordination hooks (null = disabled).
-  void set_cross(CrossEngineHooks* cross) { cross_ = cross; }
 
   ExecContext* ctx() { return ctx_; }
   ATCache& atcache() { return atcache_; }
@@ -431,8 +429,8 @@ class Engine {
   ExecContext* ctx_;
   ATCache atcache_;
   hw::DmaChannelSlice dma_;  // this engine's disjoint slice of the service pool
-  CrossEngineHooks* cross_ = nullptr;
   OverloadSignals* overload_;
+  CrossEngineHooks* cross_;
   AtomicStats stats_;
   // Clock advance the engine spent idle rather than serving: jumps to a
   // task's submit time and end-of-serve waits for parked DMA. ServeClient

@@ -1,9 +1,10 @@
 // ShardRunQueue — one scheduler shard's run queue of runnable clients (§4.5.3).
 //
-// The sharded scheduler (service.h) replaces the global-mutex double scan with
-// per-shard queues: each queue orders runnable cgroups by a share-weighted
-// vruntime snapshot and, inside each cgroup, runnable clients by a
-// total-copy-length snapshot, so a pick is O(log n) under the shard's lock.
+// Threaded mode's scheduler (service.h) keeps per-shard queues instead of
+// scanning every client under a global mutex: each queue orders runnable
+// cgroups by a share-weighted vruntime snapshot and, inside each cgroup,
+// runnable clients by a total-copy-length snapshot, so a pick is O(log n)
+// under the shard's lock.
 //
 // Keys are snapshots taken at insert time. A client's counters keep advancing
 // while it waits, but every serve pops the client and re-inserts it with fresh

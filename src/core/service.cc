@@ -48,21 +48,17 @@ CopierService::CopierService(Options options)
   // Engine-pool sizing (DESIGN.md §10): explicit engine_count wins; auto (0)
   // means one engine per service thread in threaded mode and a single engine
   // in manual mode (manual callers drive additional engines explicitly via
-  // RunOnce(i)). Pool disabled => exactly today's single-engine path: one
-  // engine, no cross-engine hooks, whole channel pool.
+  // RunOnce(i)).
   const CopierConfig& config = options_.config;
-  size_t pool = 1;
-  if (config.enable_engine_pool) {
-    pool = config.engine_count != 0
-               ? config.engine_count
-               : (options_.mode == Mode::kThreaded ? std::max<size_t>(1, config.max_threads)
-                                                   : 1);
-    if (options_.mode == Mode::kThreaded) {
-      // Threaded mode runs one thread per engine, so max_threads caps the
-      // pool too: an explicit engine_count above it must not spawn more
-      // service threads than the configured ceiling.
-      pool = std::min(pool, std::max<size_t>(1, config.max_threads));
-    }
+  size_t pool = config.engine_count != 0
+                    ? config.engine_count
+                    : (options_.mode == Mode::kThreaded ? std::max<size_t>(1, config.max_threads)
+                                                        : 1);
+  if (options_.mode == Mode::kThreaded) {
+    // Threaded mode runs one thread per engine, so max_threads caps the
+    // pool too: an explicit engine_count above it must not spawn more
+    // service threads than the configured ceiling.
+    pool = std::min(pool, std::max<size_t>(1, config.max_threads));
   }
   // One service-owned channel pool carved into disjoint per-engine slices:
   // channel state stays single-threaded, aggregate channel count scales with
@@ -72,15 +68,10 @@ CopierService::CopierService(Options options)
                                                    config.dma_ring_slots);
   for (size_t i = 0; i < pool; ++i) {
     engine_ctxs_.push_back(std::make_unique<ExecContext>("copier-" + std::to_string(i)));
-    // Saturation feedback flows from every engine regardless of pool mode:
-    // reporting a counter has no behavioral side effects (unlike set_cross).
     engines_.push_back(std::make_unique<Engine>(
         options_.config, timing_, engine_ctxs_.back().get(),
         hw::DmaChannelSlice(dma_pool_.get(), i * channels_per_engine, channels_per_engine),
-        &overload_signals_));
-    if (config.enable_engine_pool) {
-      engines_.back()->set_cross(this);
-    }
+        &overload_signals_, this));
     shards_.push_back(std::make_unique<Shard>());
   }
   cgroups_.push_back(std::make_unique<Cgroup>("root", kDefaultCopierShares));
@@ -172,8 +163,8 @@ void CopierService::DetachClient(Client& client) {
     }
   }
   // Take ownership out of the service BEFORE waiting out `serving`: the
-  // linear picker scans clients_ and CASes `serving` under mu_, so once this
-  // erase lands no scheduler path — sharded or linear — can reach the client,
+  // manual-mode linear picker scans clients_ and CASes `serving` under mu_,
+  // so once this erase lands no scheduler path can reach the client,
   // and any pick that already happened shows up in `serving` below.
   std::unique_ptr<Client> owned;
   {
@@ -218,15 +209,13 @@ void CopierService::DetachClient(Client& client) {
   // those tasks will never be ingested, and a stamped sequence left
   // outstanding would hold back tombstone pruning service-wide forever. Safe
   // now — no server or picker can reach the client anymore.
-  if (options_.config.enable_engine_pool) {
-    for (size_t fd = 0; fd < client.pair_count(); ++fd) {
-      QueuePair& pair = client.pair(static_cast<int>(fd));
-      while (auto entry = pair.user.copy_q.TryPop()) {
-        RetireGlobalSeq(entry->task.gseq);
-      }
-      while (auto entry = pair.kernel.copy_q.TryPop()) {
-        RetireGlobalSeq(entry->task.gseq);
-      }
+  for (size_t fd = 0; fd < client.pair_count(); ++fd) {
+    QueuePair& pair = client.pair(static_cast<int>(fd));
+    while (auto entry = pair.user.copy_q.TryPop()) {
+      RetireGlobalSeq(entry->task.gseq);
+    }
+    while (auto entry = pair.kernel.copy_q.TryPop()) {
+      RetireGlobalSeq(entry->task.gseq);
     }
   }
   // `owned` destructs here: the client is freed only after the last server
@@ -333,7 +322,8 @@ void CopierService::AbandonRequest(Client& client) {
 Client* CopierService::PickClient(size_t index) {
   ++sched_stats_.pick_calls;
   const Cycles t0 = RealCycleClock::ReadTsc();
-  Client* picked = UseSharded() ? PickClientSharded(index) : PickClientLinear(index);
+  Client* picked = options_.mode == Mode::kThreaded ? PickClientSharded(index)
+                                                    : PickClientLinear(index);
   sched_stats_.pick_tsc_cycles += RealCycleClock::ReadTsc() - t0;
   if (picked != nullptr) {
     ++sched_stats_.picks;
@@ -370,21 +360,13 @@ Client* CopierService::PickClientSharded(size_t index) {
 Client* CopierService::PickClientLinear(size_t index) {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t scanned = 0;
-  // Pass 1: among cgroups with runnable clients assigned to this engine,
-  // pick the minimum-vruntime cgroup.
+  // Pass 1: among cgroups with runnable clients homed on this engine, pick
+  // the minimum-vruntime cgroup. Home-engine affinity: RunOnce(i) serves
+  // shard i's clients (with one engine, every client is homed on engine 0).
   Cgroup* best_group = nullptr;
-  const size_t threads = std::max<size_t>(1, active_threads_.load(std::memory_order_acquire));
-  auto assigned_here = [&](const Client& client) {
-    if (options_.mode == Mode::kManual) {
-      // Single engine: everything runs on engine 0 (today's path). Pool:
-      // home-engine affinity — manual RunOnce(i) serves shard i's clients.
-      return engines_.size() == 1 ? index == 0 : client.home_shard == index;
-    }
-    return (client.id() % threads) == (index % threads);
-  };
   for (auto& client : clients_) {
     ++scanned;
-    if (!assigned_here(*client) || client->detached.load(std::memory_order_acquire) ||
+    if (client->home_shard != index || client->detached.load(std::memory_order_acquire) ||
         !client->HasQueuedWork()) {
       continue;
     }
@@ -397,7 +379,7 @@ Client* CopierService::PickClientLinear(size_t index) {
     // Pass 2: within the cgroup, minimum total copy length (CFS analogue).
     for (auto& client : clients_) {
       ++scanned;
-      if (!assigned_here(*client) || client->cgroup != best_group ||
+      if (client->home_shard != index || client->cgroup != best_group ||
           client->detached.load(std::memory_order_acquire) || !client->HasQueuedWork()) {
         continue;
       }
@@ -478,7 +460,7 @@ void CopierService::AccountService(Client& client, uint64_t bytes) {
 }
 
 void CopierService::FinishServe(Client& client) {
-  if (!UseSharded()) {
+  if (options_.mode != Mode::kThreaded) {
     client.serving.store(false, std::memory_order_release);
     return;
   }
@@ -581,10 +563,8 @@ void CopierService::DrainAll() {
         }
       }
     } else {
-      if (UseSharded()) {
-        // Callers may have pushed work to rings without a NotifyRunnable.
-        ReconcileRunnable();
-      }
+      // Callers may have pushed work to rings without a NotifyRunnable.
+      ReconcileRunnable();
       Awaken();
       std::this_thread::yield();
     }
@@ -601,7 +581,7 @@ void CopierService::Start() {
   }
   running_.store(true);
   // One thread per engine: the pool size (not max_threads) bounds thread
-  // count, so an explicit engine_count or a disabled pool clamps both.
+  // count, so an explicit engine_count clamps both.
   active_threads_.store(
       std::min<size_t>(std::max<size_t>(1, options_.config.min_threads), engines_.size()));
   for (size_t i = 0; i < engines_.size(); ++i) {
@@ -642,10 +622,6 @@ void CopierService::NotifyRunnable(Client& client, uint64_t bytes_hint) {
   if (options_.mode != Mode::kThreaded) {
     return;  // manual mode: the caller drives the engine directly
   }
-  if (!options_.config.enable_sharded_scheduler) {
-    Awaken();  // linear baseline: scanning threads find the work
-    return;
-  }
   if (client.detached.load(std::memory_order_acquire) ||
       client.runnable.load(std::memory_order_acquire)) {
     return;  // already queued (dedup fast path) or tearing down
@@ -668,10 +644,6 @@ void CopierService::NotifyRunnable(Client& client, uint64_t bytes_hint) {
 }
 
 void CopierService::WakeShard(size_t shard_index) {
-  if (!options_.config.enable_targeted_wakeup) {
-    Awaken();
-    return;
-  }
   // Redirect to the owning thread's wakeup channel (thread i sleeps on
   // shards_[i]): shard s >= active is covered by thread s % active.
   const size_t active = std::max<size_t>(1, active_threads_.load(std::memory_order_acquire));
@@ -739,15 +711,12 @@ void CopierService::ThreadMain(size_t index) {
       ++idle_spins;
       if (idle_spins >= options_.config.idle_spins_before_sleep) {
         idle_spins = 0;
-        Client* rescued = nullptr;
-        if (UseSharded()) {
-          // Before sleeping: rescue unnotified work, then try to steal from
-          // the fullest foreign shard.
-          ReconcileRunnable();
-          rescued = PickClient(index);
-          if (rescued == nullptr && options_.config.enable_work_stealing) {
-            rescued = StealClient(index);
-          }
+        // Before sleeping: rescue unnotified work, then try to steal from
+        // the fullest foreign shard.
+        ReconcileRunnable();
+        Client* rescued = PickClient(index);
+        if (rescued == nullptr && options_.config.enable_work_stealing) {
+          rescued = StealClient(index);
         }
         if (rescued != nullptr) {
           ServePicked(index, *rescued, options_.config.copy_slice_bytes);
@@ -846,17 +815,15 @@ CopierService::EngineUtil CopierService::engine_util(size_t i) const {
 
 uint64_t CopierService::NextGlobalSeq() {
   const uint64_t gseq = next_gseq_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.config.enable_engine_pool) {
-    // Outstanding until registered or retired: a tombstone above this gseq
-    // must survive until the stamped task has had its chance to probe.
-    std::lock_guard<std::mutex> lock(ledger_mu_);
-    stamped_live_.insert(gseq);
-  }
+  // Outstanding until registered or retired: a tombstone above this gseq
+  // must survive until the stamped task has had its chance to probe.
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  stamped_live_.insert(gseq);
   return gseq;
 }
 
 void CopierService::RetireGlobalSeq(uint64_t gseq) {
-  if (gseq == 0 || !options_.config.enable_engine_pool) {
+  if (gseq == 0) {
     return;
   }
   std::lock_guard<std::mutex> lock(ledger_mu_);

@@ -19,9 +19,9 @@
 // owning thread; a pick pops the best client from the thread's shards in
 // O(log n) under the shard lock instead of scanning every client under a
 // global mutex. Idle threads steal the highest-backlog runnable client from
-// the fullest foreign shard before sleeping. Manual mode — and threaded mode
-// with config.enable_sharded_scheduler off (ablation baseline) — keeps the
-// original global-mutex linear double scan.
+// the fullest foreign shard before sleeping. Manual mode, where the caller
+// names the engine to serve, keeps a global-mutex linear double scan over the
+// clients homed on that engine.
 #ifndef COPIER_SRC_CORE_SERVICE_H_
 #define COPIER_SRC_CORE_SERVICE_H_
 
@@ -59,7 +59,7 @@ namespace copier::core {
   X(pick_calls)        /* PickClient invocations, including idle */               \
   X(pick_attempts)     /* serving-CAS attempts on popped clients */               \
   X(pick_tsc_cycles)   /* host TSC cycles spent inside PickClient */              \
-  X(clients_scanned)   /* linear baseline: clients examined */                    \
+  X(clients_scanned)   /* manual-mode linear pick: clients examined */            \
   X(steals)            /* clients served off a foreign shard */                   \
   X(steal_attempts)                                                               \
   X(targeted_wakeups)  /* single-thread notify (sharded path) */                  \
@@ -119,8 +119,8 @@ class CopierService : public CrossEngineHooks {
   Client* ClientById(uint64_t id);
   // Detaches and destroys a client: marks it detached (suppressing further
   // runnable notifications), removes it from its home shard's run queue and
-  // the client tables (so no picker, sharded or linear, can still reach it),
-  // waits out any in-flight serve, then frees it. Safe while threads run.
+  // the client tables (so no picker can still reach it), waits out any
+  // in-flight serve, then frees it. Safe while threads run.
   void DetachClient(Client& client);
 
   Cgroup* CreateCgroup(const std::string& name, uint64_t shares);
@@ -181,7 +181,7 @@ class CopierService : public CrossEngineHooks {
   // Engine a client's serves land on by default: its home shard (engines and
   // shards are 1:1 in the pool).
   size_t EngineIndexFor(const Client& client) const {
-    return engines_.size() > 1 ? client.home_shard % engines_.size() : 0;
+    return client.home_shard;
   }
 
   // Service-global submission sequence (DESIGN.md §10): submitters stamp
@@ -204,8 +204,7 @@ class CopierService : public CrossEngineHooks {
   // Submission-side hook: marks `client` runnable on its home shard and wakes
   // the shard's owner thread. `bytes_hint` (the submitted copy length, when
   // the caller knows it) feeds the backlog estimate steal-victim selection
-  // uses. Falls back to Awaken() when the sharded scheduler is off. Safe to
-  // call redundantly — runnable marks dedup.
+  // uses. Safe to call redundantly — runnable marks dedup.
   void NotifyRunnable(Client& client, uint64_t bytes_hint = 0);
   // Scenario-driven polling: threads serve only while a scenario is active.
   void ScenarioBegin();
@@ -304,17 +303,14 @@ class CopierService : public CrossEngineHooks {
     COPIER_SCHED_COUNTERS(COPIER_RELAXED_COUNTER)
   };
 
-  bool UseSharded() const {
-    return options_.mode == Mode::kThreaded && options_.config.enable_sharded_scheduler;
-  }
-
   void ThreadMain(size_t index);
   // Unhooks the per-engine ATCache invalidation listeners a registration
   // installed on the client's address space (detach and teardown paths — the
   // space is owned outside the service and outlives it).
   void RemoveSpaceListeners(Client& client);
   // Scheduler: next client for engine `index` (nullptr = nothing runnable).
-  // The returned client's `serving` flag is held by the caller.
+  // The returned client's `serving` flag is held by the caller. Threaded
+  // mode pops the sharded run queues; manual mode scans the clients.
   Client* PickClient(size_t index);
   Client* PickClientSharded(size_t index);
   Client* PickClientLinear(size_t index);
@@ -325,8 +321,7 @@ class CopierService : public CrossEngineHooks {
   // no runnable mark (work pushed to rings without a NotifyRunnable — tests
   // and low-level users may do that legally).
   void ReconcileRunnable();
-  // Wakes the thread owning `shard` (targeted), or everyone (broadcast) when
-  // targeted wakeups are disabled.
+  // Wakes the thread currently owning `shard`.
   void WakeShard(size_t shard);
   // Serves a picked client on engine `index` and releases it: accounts the
   // bytes, clears `serving`, and — atomically with the release, under the
@@ -346,9 +341,9 @@ class CopierService : public CrossEngineHooks {
   Cgroup* root_cgroup_ = nullptr;
   uint64_t next_client_id_ = 1;
 
-  // Engine pool (DESIGN.md §10): `engine_count` copier instances (one when
-  // the pool is disabled), each owning a disjoint slice of the shared DMA
-  // channel pool. Index 0 doubles as the default manual-mode engine.
+  // Engine pool (DESIGN.md §10): `engine_count` copier instances, each owning
+  // a disjoint slice of the shared DMA channel pool. Index 0 doubles as the
+  // default manual-mode engine.
   std::unique_ptr<hw::DmaChannelPool> dma_pool_;
   std::vector<std::unique_ptr<ExecContext>> engine_ctxs_;
   std::vector<std::unique_ptr<Engine>> engines_;
@@ -366,7 +361,7 @@ class CopierService : public CrossEngineHooks {
   // neither registered in the ledger nor retired. Their minimum bounds
   // tombstone (and completed-write) pruning — a task stamped at submission
   // may probe the ledger only after a ring traversal, and a tombstone above
-  // its gseq must still be there when it does. Empty when the pool is off.
+  // its gseq must still be there when it does.
   std::set<uint64_t> stamped_live_;
   // Lowest gseq that may still execute or probe service-wide: min over
   // stamped-but-unattached sequences and live (non-landed) ledger entries.

@@ -1,11 +1,14 @@
 // Engine-pool correctness (DESIGN.md §10): a randomized differential harness
 // runs the same multi-client workload — overlapping private copies, mid-stream
 // aborts, csyncs, and cross-client traffic on a shared kernel buffer — against
-// pools of 1, 2, 4 and 8 engines and asserts byte-identical results. The
-// shared buffer additionally has an in-order oracle: because the service-global
-// submission sequence (gseq) fixes cross-client conflict order at submission,
-// the final buffer must equal a host-side replay of the writes in submission
-// order, and every read must observe exactly the writes submitted before it.
+// pools of 1, 2, 4 and 8 engines and asserts byte-identical results. Every run,
+// the single engine included, also has an in-order oracle: each app arena must
+// equal a host-side memcpy replay of its copies in submission order (aborted
+// copies skipped), every kernel writer's KFUNCs must fire in submission order,
+// and — because the service-global submission sequence (gseq) fixes
+// cross-client conflict order at submission — the shared buffer must equal the
+// replay of its writes in submission order, and every read must observe
+// exactly the writes submitted before it.
 //
 // A second, real-threaded test (the TSan target in CI) races kernel-client
 // writers across a 4-engine pool and asserts WAW writes stay totally ordered:
@@ -57,16 +60,19 @@ struct PoolApp {
 
 PoolResult RunPoolScenario(size_t engines, uint64_t seed) {
   core::CopierConfig config;
-  config.enable_engine_pool = true;
   config.engine_count = engines;
   simos::SimKernel kernel;
   core::CopierService::Options options;
   options.config = config;
   core::CopierService service(std::move(options));
+  EXPECT_EQ(service.engine_count(), engines);
   core::CopierLinux glue(&service, &kernel);
   glue.Install();
 
   std::vector<PoolApp> apps(kApps);
+  // In-order replay of each app arena: every copy applied in submission order
+  // with memcpy, aborted copies left out.
+  std::vector<std::vector<uint8_t>> arena_ref(kApps);
   for (size_t a = 0; a < kApps; ++a) {
     apps[a].proc = kernel.CreateProcess("pool" + std::to_string(a));
     apps[a].client = service.AttachProcess(apps[a].proc);
@@ -75,6 +81,7 @@ PoolResult RunPoolScenario(size_t engines, uint64_t seed) {
     EXPECT_TRUE(arena.ok());
     apps[a].arena = *arena;
     FillPattern(apps[a].proc->mem(), apps[a].arena, kArena, seed * 131 + a);
+    arena_ref[a] = ReadAll(apps[a].proc->mem(), apps[a].arena, kArena);
   }
   std::vector<core::Client*> writers(kWriters);
   for (size_t w = 0; w < kWriters; ++w) {
@@ -111,6 +118,7 @@ PoolResult RunPoolScenario(size_t engines, uint64_t seed) {
                                  : kSrcPool + rng.Below(kWork - len);
         } while (RangesOverlap(dst_off, len, src_off, len));
         app.lib->amemcpy(app.arena + dst_off, app.arena + src_off, len);
+        std::memcpy(arena_ref[a].data() + dst_off, arena_ref[a].data() + src_off, len);
       }
       if (rng.OneIn(2) && app.abort_slot < kAbortSlots) {
         const uint64_t dst = app.arena + kSrcPool + kWork + app.abort_slot * kAbortSlot;
@@ -200,9 +208,10 @@ PoolResult RunPoolScenario(size_t engines, uint64_t seed) {
   }
   service.DrainAll();
 
-  for (auto& app : apps) {
-    EXPECT_TRUE(app.client->pending.empty());
-    result.images.push_back(ReadAll(app.proc->mem(), app.arena, kArena));
+  for (size_t a = 0; a < kApps; ++a) {
+    EXPECT_TRUE(apps[a].client->pending.empty());
+    result.images.push_back(ReadAll(apps[a].proc->mem(), apps[a].arena, kArena));
+    EXPECT_EQ(result.images.back(), arena_ref[a]) << "app " << a;
   }
   // In-order oracle: gseq order == submission order == the host replay.
   EXPECT_EQ(shared, shared_ref);
@@ -210,13 +219,11 @@ PoolResult RunPoolScenario(size_t engines, uint64_t seed) {
   for (const auto& [dst, expected] : read_checks) {
     EXPECT_EQ(*dst, expected);
   }
-  // Every writer KFUNC fired exactly once.
+  // Every writer KFUNC fired exactly once, in submission order.
   for (size_t w = 0; w < kWriters; ++w) {
-    std::vector<int> sorted = result.kfunc_logs[w];
-    std::sort(sorted.begin(), sorted.end());
     std::vector<int> want(static_cast<size_t>(writer_round[w]));
     std::iota(want.begin(), want.end(), 0);
-    EXPECT_EQ(sorted, want) << "writer " << w;
+    EXPECT_EQ(result.kfunc_logs[w], want) << "writer " << w;
   }
   const core::Engine::Stats stats = service.TotalStats();
   result.cross_probes = stats.cross_dep_probes;
@@ -228,6 +235,8 @@ class EnginePoolDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnginePoolDifferential, PooledRunsMatchSingleEngineByteForByte) {
   const uint64_t seed = GetParam();
+  // engine_count = 1 is the single-engine service; RunPoolScenario checks it
+  // against the in-order memcpy replay before it serves as the baseline.
   const PoolResult baseline = RunPoolScenario(1, seed);
   EXPECT_GT(baseline.cross_probes, 0u);
   for (size_t engines : {2u, 4u, 8u}) {
@@ -253,7 +262,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EnginePoolDifferential, ::testing::Values(1u, 7u
 
 TEST(EnginePoolStats, TotalSumsEveryListedCounter) {
   core::CopierConfig config;
-  config.enable_engine_pool = true;
   config.engine_count = 2;
   simos::SimKernel kernel;
   core::CopierService::Options options;
@@ -329,7 +337,6 @@ TEST(EnginePoolThreaded, SharedBufferWritesStayTotallyOrdered) {
   simos::SimKernel kernel;
   core::CopierService::Options options;
   options.mode = core::CopierService::Mode::kThreaded;
-  options.config.enable_engine_pool = true;
   options.config.engine_count = 4;
   options.config.min_threads = 4;
   options.config.max_threads = 4;
@@ -448,7 +455,6 @@ TEST(EnginePoolThreaded, SharedBufferWritesStayTotallyOrdered) {
 TEST(EnginePoolLedger, TombstoneSurvivesSubmissionRingLatency) {
   constexpr size_t kLen = 2 * kKiB;
   core::CopierService::Options options;
-  options.config.enable_engine_pool = true;
   options.config.engine_count = 2;
   core::CopierService service(std::move(options));
   core::Client* early = service.AttachKernelClient("early");
@@ -493,7 +499,6 @@ TEST(EnginePoolLedger, OwnerPrivateWriteSurvivesSharedTransition) {
   constexpr size_t kArenaBytes = 8 * kKiB;
   simos::SimKernel kernel;
   core::CopierService::Options options;
-  options.config.enable_engine_pool = true;
   options.config.engine_count = 2;
   core::CopierService service(std::move(options));
   simos::Process* proc = kernel.CreateProcess("owner");
@@ -545,7 +550,6 @@ TEST(EnginePoolSharedDomain, WriterAndOwnCopiesMatchInOrderReplay) {
   for (const uint64_t seed : {41u, 42u}) {
     SCOPED_TRACE(seed);
     core::CopierConfig config;
-    config.enable_engine_pool = true;
     config.engine_count = 2;
     simos::SimKernel kernel;
     core::CopierService::Options options;

@@ -1,9 +1,9 @@
 // Threaded-scheduler tests: the sharded run-queue scheduler (service.h,
 // DESIGN.md §7) under real Copier threads — CFS-analogue fairness across
-// cgroups, work stealing, attach/detach churn while serving, and a
-// differential run asserting the sharded and global-mutex linear schedulers
-// complete identical task sets with identical bytes. Plus deterministic unit
-// tests of the ShardRunQueue ordering itself.
+// cgroups, work stealing, attach/detach churn while serving, and a run
+// asserting every submitted copy lands the source bytes through targeted
+// wakeups alone. Plus deterministic unit tests of the ShardRunQueue ordering
+// itself.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -163,12 +163,11 @@ struct Worker {
   uint64_t arena = 0;
 };
 
-core::CopierService::Options ThreadedOptions(size_t threads, bool sharded) {
+core::CopierService::Options ThreadedOptions(size_t threads) {
   core::CopierService::Options options;
   options.mode = core::CopierService::Mode::kThreaded;
   options.config.min_threads = threads;
   options.config.max_threads = threads;
-  options.config.enable_sharded_scheduler = sharded;
   return options;
 }
 
@@ -178,7 +177,7 @@ core::CopierService::Options ThreadedOptions(size_t threads, bool sharded) {
 
 TEST(ThreadedScheduler, ShareWeightedFairnessAcrossCgroups) {
   simos::SimKernel kernel;
-  auto options = ThreadedOptions(4, /*sharded=*/true);
+  auto options = ThreadedOptions(4);
   // Stealing is work conservation, not fairness: a thief takes the highest-
   // backlog client — by construction the one fairness has served least. On an
   // oversubscribed host, OS preemption makes sibling shards look idle and
@@ -240,7 +239,7 @@ TEST(ThreadedScheduler, ShareWeightedFairnessAcrossCgroups) {
 
 TEST(ThreadedScheduler, IdleThreadsStealFromHotShard) {
   simos::SimKernel kernel;
-  auto options = ThreadedOptions(4, /*sharded=*/true);
+  auto options = ThreadedOptions(4);
   options.config.idle_spins_before_sleep = 8;  // reach the steal path quickly
   core::CopierService service(std::move(options));
 
@@ -273,9 +272,9 @@ TEST(ThreadedScheduler, IdleThreadsStealFromHotShard) {
 // Attach/detach churn while serving
 // ---------------------------------------------------------------------------
 
-void RunAttachDetachChurn(bool sharded) {
+TEST(ThreadedScheduler, AttachDetachChurnWhileServing) {
   simos::SimKernel kernel;
-  auto options = ThreadedOptions(4, sharded);
+  auto options = ThreadedOptions(4);
   options.config.idle_spins_before_sleep = 64;  // keep steal/reconcile hot too
   core::CopierService service(std::move(options));
 
@@ -306,25 +305,13 @@ void RunAttachDetachChurn(bool sharded) {
   service.Stop();
 }
 
-TEST(ThreadedScheduler, AttachDetachChurnWhileServing) {
-  RunAttachDetachChurn(/*sharded=*/true);
-}
-
-// The linear baseline picks by scanning clients_ under mu_; detach must pull
-// the client out of that table before freeing it, or a concurrent pick races
-// the teardown.
-TEST(ThreadedScheduler, AttachDetachChurnWhileServingLinearBaseline) {
-  RunAttachDetachChurn(/*sharded=*/false);
-}
-
 // ---------------------------------------------------------------------------
-// Differential: sharded vs linear scheduler, identical task sets
+// Every task lands the source bytes through the sharded path
 // ---------------------------------------------------------------------------
 
-std::vector<uint8_t> RunDifferentialScenario(bool sharded,
-                                             core::CopierService::SchedStats* stats_out) {
+TEST(ThreadedScheduler, ShardedSchedulerLandsEveryCopyWithSourceBytes) {
   simos::SimKernel kernel;
-  core::CopierService service(ThreadedOptions(4, sharded));
+  core::CopierService service(ThreadedOptions(4));
   const size_t kSlots = 48;
   const size_t kSlotBytes = 16 * kKiB;
   std::vector<std::unique_ptr<Worker>> workers;
@@ -336,36 +323,18 @@ std::vector<uint8_t> RunDifferentialScenario(bool sharded,
   for (auto& worker : workers) {
     worker->SubmitAll();
   }
-  std::vector<uint8_t> bytes;
+  // Each destination slot must equal its worker's source slot.
   for (auto& worker : workers) {
-    EXPECT_TRUE(worker->lib->csync_all().ok());
-    const auto arena =
-        ReadAll(worker->proc->mem(), worker->arena, (worker->slots + 1) * worker->slot_bytes);
-    bytes.insert(bytes.end(), arena.begin(), arena.end());
+    worker->VerifyAll();
   }
   service.Stop();
-  if (stats_out != nullptr) {
-    *stats_out = service.sched_stats();
-  }
-  return bytes;
-}
 
-TEST(ThreadedScheduler, ShardedAndLinearCompleteIdenticalTaskSets) {
-  core::CopierService::SchedStats sharded_stats;
-  core::CopierService::SchedStats linear_stats;
-  const auto sharded_bytes = RunDifferentialScenario(/*sharded=*/true, &sharded_stats);
-  const auto linear_bytes = RunDifferentialScenario(/*sharded=*/false, &linear_stats);
-  ASSERT_EQ(sharded_bytes.size(), linear_bytes.size());
-  ASSERT_EQ(sharded_bytes, linear_bytes);
-
-  // Mode signatures: the sharded run used targeted wakeups and never ran the
-  // linear scan; the baseline scanned clients and broadcast its wakeups.
-  EXPECT_GT(sharded_stats.targeted_wakeups, 0u);
-  EXPECT_EQ(sharded_stats.clients_scanned, 0u);
-  EXPECT_GT(linear_stats.clients_scanned, 0u);
-  EXPECT_GT(linear_stats.broadcast_wakeups, 0u);
-  EXPECT_GT(sharded_stats.picks, 0u);
-  EXPECT_GT(linear_stats.picks, 0u);
+  // Submissions reached the threads through targeted wakeups of the home
+  // shard's owner, and no pick fell back to the manual-mode linear scan.
+  const core::CopierService::SchedStats stats = service.sched_stats();
+  EXPECT_GT(stats.targeted_wakeups, 0u);
+  EXPECT_EQ(stats.clients_scanned, 0u);
+  EXPECT_GT(stats.picks, 0u);
 }
 
 }  // namespace

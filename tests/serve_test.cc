@@ -450,5 +450,39 @@ TEST(ServeThreaded, SmallTraceVerifiesUnderRealThreads) {
   EXPECT_GT(result.latency.Count(), 0u);
 }
 
+// Replies longer than one 4 KiB skb: under real threads the client's first
+// Recv may return only the skbs that have landed, and the serving harness must
+// read on until the whole reply is in. Taking the first read as the reply
+// leaves the rest in the socket, where it becomes the start of the next reply.
+// The 4088 B value makes a 4097 B GET reply, one byte past a single skb.
+class ServeThreadedLongReplies : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ServeThreadedLongReplies, EveryReplyMatchesTheModel) {
+  const uint32_t value_bytes = GetParam();
+  ServeOptions options;
+  options.workload.seed = 5;
+  options.workload.requests = value_bytes >= 256 * kKiB ? 96 : 256;
+  options.workload.connections = 8;
+  options.workload.keys = 16;
+  options.workload.value_sizes = {value_bytes};
+  options.workload.value_weights = {1.0};
+  options.workload.mean_gap_cycles = 20000;
+  options.threads = 2;
+  options.ns_per_cycle = 1.0;
+  const ServeResult result = RunServeThreaded(options);
+  EXPECT_TRUE(result.replies_ok);
+  EXPECT_EQ(result.admitted, options.workload.requests);
+  ASSERT_EQ(result.records.size(), options.workload.requests);
+  EXPECT_GT(std::count_if(result.records.begin(), result.records.end(),
+                          [](const ServeRecord& r) { return r.is_get; }),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(ValueBytes, ServeThreadedLongReplies,
+                         ::testing::Values(4096u, 4088u, 16384u, 256u * 1024u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return "v" + std::to_string(info.param);
+                         });
+
 }  // namespace
 }  // namespace copier::apps
